@@ -11,13 +11,16 @@ pub struct Cli {
 }
 
 /// The `agebo` subcommands.
+// One value per process, built once by `Cli::parse`: the size gap between
+// `Search` and the small variants costs nothing worth a `Box`.
+#[allow(clippy::large_enum_variant)]
 #[derive(Debug, Clone, PartialEq)]
 pub enum Command {
     /// Print search-space and data-set information.
     Info,
     /// Run a search.
     Search(SearchArgs),
-    /// Resume a search from a saved history.
+    /// Resume a search exactly-once from its durable checkpoint store.
     Resume(ResumeArgs),
     /// Evaluate a saved model on a CSV file.
     Evaluate(EvaluateArgs),
@@ -54,7 +57,8 @@ pub struct SearchArgs {
     pub failure_rate: Option<f64>,
     /// Simulated-cluster chaos profile (`none | mild | heavy`).
     pub chaos: Option<FaultPlan>,
-    /// Checkpoint the history every N recorded completions (to `--out`).
+    /// Commit to the durable store every N recorded completions
+    /// (requires `--checkpoint-dir`).
     pub checkpoint_every: Option<usize>,
     /// Durable segmented checkpoint store directory; makes the run
     /// crash-resumable via `agebo resume --dir`.
@@ -69,29 +73,16 @@ pub struct SearchArgs {
     pub bo_candidates: Option<usize>,
 }
 
-/// Arguments of `agebo resume`.
+/// Arguments of `agebo resume`. The run's configuration comes from the
+/// store's header, so there is nothing else to set.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ResumeArgs {
-    /// Saved history to resume (legacy single-file checkpoint).
-    pub history: Option<String>,
-    /// Durable checkpoint store to resume exactly-once (`--dir`).
-    pub dir: Option<String>,
-    /// Benchmark data set the history was produced on.
-    pub dataset: DatasetKind,
-    /// Size/search profile.
-    pub profile: SizeProfile,
-    /// Seed for the continuation.
-    pub seed: u64,
-    /// Where to write the merged history.
+    /// Durable checkpoint store to resume (`--dir`).
+    pub dir: String,
+    /// Where to write the completed history.
     pub out: Option<String>,
     /// Directory receiving the run-event log and metrics snapshot.
     pub telemetry: Option<String>,
-    /// Injected application-level failure probability, in `[0, 1]`.
-    pub failure_rate: Option<f64>,
-    /// Simulated-cluster chaos profile (`none | mild | heavy`).
-    pub chaos: Option<FaultPlan>,
-    /// Checkpoint the history every N recorded completions (to `--out`).
-    pub checkpoint_every: Option<usize>,
 }
 
 /// Arguments of `agebo evaluate`.
@@ -154,16 +145,14 @@ USAGE:
                  [--profile test|bench|large] [--seed N] [--wall-minutes M]
                  [--out history.json] [--model-out model.json]
                  [--telemetry DIR] [--failure-rate P]
-                 [--chaos-profile none|mild|heavy] [--checkpoint-every N]
+                 [--chaos-profile none|mild|heavy]
                  [--checkpoint-dir DIR]   (durable store; crash-resumable)
+                 [--checkpoint-every N]   (store commit cadence; default 10)
                  [--surrogate-window N]   (bound BO refits to N obs; 0 = exact)
                  [--bo-trees N] [--bo-candidates N]
   agebo resume   --dir CKPT_DIR           (exactly-once resume of a durable
-                 [--out merged.json]       store; config comes from the store)
+                 [--out history.json]      store; config comes from the store)
                  [--telemetry DIR]
-  agebo resume   --history history.json [--dataset D] [--profile P] [--seed N]
-                 [--out merged.json] [--telemetry DIR] [--failure-rate P]
-                 [--chaos-profile none|mild|heavy] [--checkpoint-every N]
   agebo compact  --dir CKPT_DIR           (fold segments into one snapshot)
   agebo evaluate --model model.json --csv data.csv
   agebo report   --dir DIR    (a --telemetry directory or an events.jsonl)
@@ -325,6 +314,13 @@ impl Cli {
                         "bo-candidates",
                     ],
                 )?;
+                if kv.contains_key("checkpoint-every") && !kv.contains_key("checkpoint-dir") {
+                    return Err(ParseError(
+                        "--checkpoint-every sets the durable store's commit cadence and \
+                         needs --checkpoint-dir"
+                            .into(),
+                    ));
+                }
                 Command::Search(SearchArgs {
                     dataset: kv
                         .get("dataset")
@@ -397,68 +393,14 @@ impl Cli {
                         )));
                     }
                 }
-                let kv = keyed(
-                    rest,
-                    &[
-                        "history",
-                        "dir",
-                        "dataset",
-                        "profile",
-                        "seed",
-                        "out",
-                        "telemetry",
-                        "failure-rate",
-                        "chaos-profile",
-                        "checkpoint-every",
-                    ],
-                )?;
-                let history = kv.get("history").cloned();
-                let dir = kv.get("dir").cloned();
-                match (&history, &dir) {
-                    (None, None) => {
-                        return Err(ParseError(
-                            "resume requires --dir (durable store) or --history (legacy)".into(),
-                        ))
-                    }
-                    (Some(_), Some(_)) => {
-                        return Err(ParseError(
-                            "resume takes --dir or --history, not both".into(),
-                        ))
-                    }
-                    _ => {}
-                }
+                let kv = keyed(rest, &["dir", "out", "telemetry"])?;
                 Command::Resume(ResumeArgs {
-                    history,
-                    dir,
-                    dataset: kv
-                        .get("dataset")
-                        .map(|s| parse_dataset(s))
-                        .transpose()?
-                        .unwrap_or(DatasetKind::Covertype),
-                    profile: kv
-                        .get("profile")
-                        .map(|s| parse_profile(s))
-                        .transpose()?
-                        .unwrap_or(SizeProfile::Test),
-                    seed: kv
-                        .get("seed")
-                        .map(|s| s.parse().map_err(|_| ParseError("bad --seed".into())))
-                        .transpose()?
-                        .unwrap_or(43),
+                    dir: kv
+                        .get("dir")
+                        .cloned()
+                        .ok_or_else(|| ParseError("resume requires --dir".into()))?,
                     out: kv.get("out").cloned(),
                     telemetry: kv.get("telemetry").cloned(),
-                    failure_rate: kv
-                        .get("failure-rate")
-                        .map(|s| parse_failure_rate(s))
-                        .transpose()?,
-                    chaos: kv.get("chaos-profile").map(|s| parse_chaos(s)).transpose()?,
-                    checkpoint_every: kv
-                        .get("checkpoint-every")
-                        .map(|s| {
-                            s.parse()
-                                .map_err(|_| ParseError("bad --checkpoint-every".into()))
-                        })
-                        .transpose()?,
                 })
             }
             "evaluate" => {
@@ -606,33 +548,12 @@ mod tests {
             "0.25",
             "--chaos-profile",
             "heavy",
-            "--checkpoint-every",
-            "10",
         ]))
         .unwrap();
         match cli.command {
             Command::Search(a) => {
                 assert_eq!(a.failure_rate, Some(0.25));
                 assert_eq!(a.chaos, Some(FaultPlan::heavy()));
-                assert_eq!(a.checkpoint_every, Some(10));
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        let cli = Cli::parse(&argv(&[
-            "resume",
-            "--history",
-            "h.json",
-            "--chaos-profile",
-            "mild",
-            "--failure-rate",
-            "0",
-        ]))
-        .unwrap();
-        match cli.command {
-            Command::Resume(a) => {
-                assert_eq!(a.chaos, Some(FaultPlan::mild()));
-                assert_eq!(a.failure_rate, Some(0.0));
-                assert_eq!(a.checkpoint_every, None);
             }
             other => panic!("wrong command {other:?}"),
         }
@@ -646,7 +567,14 @@ mod tests {
         assert!(Cli::parse(&argv(&["search", "--failure-rate", "lots"])).is_err());
         let err = Cli::parse(&argv(&["search", "--chaos-profile", "apocalyptic"])).unwrap_err();
         assert!(err.0.contains("none|mild|heavy"), "{}", err.0);
-        assert!(Cli::parse(&argv(&["search", "--checkpoint-every", "-3"])).is_err());
+        assert!(Cli::parse(&argv(&[
+            "search",
+            "--checkpoint-dir",
+            "ckpt",
+            "--checkpoint-every",
+            "-3"
+        ]))
+        .is_err());
     }
 
     #[test]
@@ -671,30 +599,28 @@ mod tests {
     }
 
     #[test]
-    fn resume_requires_history_or_dir() {
+    fn resume_takes_only_the_store_and_output_flags() {
         let err = Cli::parse(&argv(&["resume"])).unwrap_err();
-        assert!(err.0.contains("--dir") && err.0.contains("--history"), "{}", err.0);
-        let cli =
-            Cli::parse(&argv(&["resume", "--history", "h.json", "--seed", "9"])).unwrap();
-        match cli.command {
-            Command::Resume(a) => {
-                assert_eq!(a.history.as_deref(), Some("h.json"));
-                assert_eq!(a.dir, None);
-                assert_eq!(a.seed, 9);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        let cli = Cli::parse(&argv(&["resume", "--dir", "ckpt"])).unwrap();
-        match cli.command {
-            Command::Resume(a) => {
-                assert_eq!(a.dir.as_deref(), Some("ckpt"));
-                assert_eq!(a.history, None);
-            }
-            other => panic!("wrong command {other:?}"),
-        }
-        let err = Cli::parse(&argv(&["resume", "--dir", "ckpt", "--history", "h.json"]))
-            .unwrap_err();
-        assert!(err.0.contains("not both"), "{}", err.0);
+        assert!(err.0.contains("--dir"), "{}", err.0);
+        let cli = Cli::parse(&argv(&[
+            "resume", "--dir", "ckpt", "--out", "h.json", "--telemetry", "tel",
+        ]))
+        .unwrap();
+        assert_eq!(
+            cli.command,
+            Command::Resume(ResumeArgs {
+                dir: "ckpt".into(),
+                out: Some("h.json".into()),
+                telemetry: Some("tel".into()),
+            })
+        );
+        // A history file is not a resumable artifact; the error lists
+        // the store flag that is.
+        let err = Cli::parse(&argv(&["resume", "--history", "h.json"])).unwrap_err();
+        assert!(err.0.contains("unknown flag") && err.0.contains("--dir"), "{}", err.0);
+        // The store's header is the configuration: nothing to override.
+        let err = Cli::parse(&argv(&["resume", "--dir", "d", "--seed", "9"])).unwrap_err();
+        assert!(err.0.contains("unknown flag --seed"), "{}", err.0);
     }
 
     #[test]
@@ -757,6 +683,9 @@ mod tests {
             }
             other => panic!("wrong command {other:?}"),
         }
+        // The cadence belongs to the store: alone it has nothing to pace.
+        let err = Cli::parse(&argv(&["search", "--checkpoint-every", "5"])).unwrap_err();
+        assert!(err.0.contains("--checkpoint-dir"), "{}", err.0);
         let cli = Cli::parse(&argv(&["compact", "--dir", "ckpt"])).unwrap();
         assert_eq!(cli.command, Command::Compact(CompactArgs { dir: "ckpt".into() }));
         assert!(Cli::parse(&argv(&["compact"])).is_err());

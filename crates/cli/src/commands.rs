@@ -4,8 +4,8 @@ use crate::args::{CompactArgs, EvaluateArgs, ReportArgs, ResumeArgs, SearchArgs,
 use agebo_analysis::ConfusionMatrix;
 use agebo_core::evaluation::train_final;
 use agebo_core::{
-    resume_search_instrumented, run_search_durable, run_search_instrumented, DurableRun,
-    DurableStore, EvalContext, EvalTask, RealIo, RunHeader, SearchConfig, SearchHistory,
+    run_search_durable, run_search_instrumented, DurableRun, DurableStore, EvalContext, EvalTask,
+    RealIo, RunHeader, SearchConfig, SearchHistory,
 };
 use agebo_serve::{
     Admission, ServeConfig, ServeOptions, SessionManager, SessionSpec, SessionTelemetry,
@@ -186,28 +186,6 @@ fn finish_telemetry(tel: &Telemetry) -> Result<(), CliError> {
     Ok(())
 }
 
-/// Applies the shared chaos/robustness flags to a search config. The
-/// checkpoint destination is the history `--out` path (checkpoints
-/// overwrite it periodically; the final write happens at run end).
-fn apply_chaos_flags(
-    mut cfg: SearchConfig,
-    failure_rate: Option<f64>,
-    chaos: Option<agebo_core::FaultPlan>,
-    checkpoint_every: Option<usize>,
-    out: &Option<String>,
-) -> SearchConfig {
-    if let Some(rate) = failure_rate {
-        cfg = cfg.with_failure_rate(rate);
-    }
-    if let Some(plan) = chaos {
-        cfg = cfg.with_chaos(plan);
-    }
-    if let Some(every) = checkpoint_every {
-        cfg = cfg.with_checkpoints(every, out.clone());
-    }
-    cfg
-}
-
 /// `agebo search`.
 pub fn search(args: &SearchArgs) -> Result<(), CliError> {
     if args.csv.is_some() && args.checkpoint_dir.is_some() {
@@ -215,12 +193,16 @@ pub fn search(args: &SearchArgs) -> Result<(), CliError> {
                     cannot be rebuilt from the store on resume"
             .into());
     }
-    let ctx = context_for(args)?;
     let mut cfg = search_config(args.profile, args.variant.clone()).with_seed(args.seed);
     if let Some(minutes) = args.wall_minutes {
-        cfg = cfg.with_wall_time(minutes * 60.0);
+        cfg.wall_time = minutes * 60.0;
     }
-    cfg = apply_chaos_flags(cfg, args.failure_rate, args.chaos, args.checkpoint_every, &args.out);
+    if let Some(rate) = args.failure_rate {
+        cfg.failure_rate = rate;
+    }
+    if let Some(plan) = args.chaos {
+        cfg = cfg.with_chaos(plan);
+    }
     // BO-shape flags (validated at parse time) override the profile.
     if let Some(window) = args.surrogate_window {
         cfg = cfg.with_surrogate_window(window);
@@ -234,9 +216,11 @@ pub fn search(args: &SearchArgs) -> Result<(), CliError> {
     if let Some(dir) = &args.checkpoint_dir {
         // A durable store needs a cadence; default one when the user
         // asked for durability but not for a specific interval.
-        let every = if cfg.checkpoint_every > 0 { cfg.checkpoint_every } else { 10 };
+        let every = args.checkpoint_every.filter(|&n| n > 0).unwrap_or(10);
         cfg = cfg.with_checkpoint_dir(every, dir.clone());
     }
+    cfg.validate()?;
+    let ctx = context_for(args)?;
     eprintln!(
         "searching with {} on {} ({} workers, {:.0} simulated minutes)...",
         args.variant.label(),
@@ -297,26 +281,13 @@ pub fn search(args: &SearchArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `agebo resume`: exactly-once from a durable store (`--dir`), or the
-/// legacy warm start from a saved history file (`--history`).
+/// `agebo resume`: exactly-once from a durable store. The store's header
+/// is the configuration's source of truth, recovered records replay
+/// without retraining, and in-flight evaluations are re-issued with their
+/// original seeds — the continued run's history is bitwise identical to
+/// one that was never interrupted.
 pub fn resume(args: &ResumeArgs) -> Result<(), CliError> {
-    match (&args.dir, &args.history) {
-        (Some(dir), None) => resume_durable(args, dir),
-        (None, Some(history)) => resume_legacy(args, history),
-        _ => Err("resume requires exactly one of --dir or --history".into()),
-    }
-}
-
-/// Exactly-once resume: the store's header is the configuration's source
-/// of truth, recovered records replay without retraining, and in-flight
-/// evaluations are re-issued with their original seeds — the continued
-/// run's history is bitwise identical to one that was never interrupted.
-fn resume_durable(args: &ResumeArgs, dir: &str) -> Result<(), CliError> {
-    if args.failure_rate.is_some() || args.chaos.is_some() || args.checkpoint_every.is_some() {
-        return Err("resume --dir takes its configuration from the store; \
-                    --failure-rate/--chaos-profile/--checkpoint-every cannot be overridden"
-            .into());
-    }
+    let dir = args.dir.as_str();
     let (mut store, recovered) = DurableStore::open(Box::new(RealIo), dir)?;
     let header = store.header().clone();
     let dataset = DatasetKind::ALL
@@ -326,13 +297,12 @@ fn resume_durable(args: &ResumeArgs, dir: &str) -> Result<(), CliError> {
     let profile = parse_profile_name(&header.profile)?;
     let mut cfg = search_config(profile, header.variant.clone())
         .with_seed(header.seed)
-        .with_wall_time(header.wall_time)
         .with_cache(header.cache)
-        .with_failure_rate(header.failure_rate)
-        .with_chaos(header.chaos);
+        .with_chaos(header.chaos)
+        .with_checkpoint_dir(header.checkpoint_every, dir);
+    cfg.wall_time = header.wall_time;
+    cfg.failure_rate = header.failure_rate;
     cfg.workers = header.workers;
-    cfg.checkpoint_every = header.checkpoint_every;
-    cfg.checkpoint_dir = Some(dir.to_string());
     // The BO shape is part of the recorded trajectory. `surrogate_window`
     // comes back verbatim (0 = exact); `bo_trees`/`bo_candidates` use 0
     // as the "profile default" sentinel legacy stores imply.
@@ -343,6 +313,9 @@ fn resume_durable(args: &ResumeArgs, dir: &str) -> Result<(), CliError> {
     if header.bo_candidates > 0 {
         cfg.bo_candidates = header.bo_candidates;
     }
+    // The header is bytes on disk: a hand-edited value must come back as
+    // an error here, not trip the manager loop's invariants.
+    cfg.validate().map_err(|e| format!("store {dir} header: {e}"))?;
     // Drift check: the config rebuilt from the header must describe the
     // run the store recorded (a serve-layer store carries a context
     // fingerprint; adopt it, the rest must match field for field).
@@ -374,51 +347,6 @@ fn resume_durable(args: &ResumeArgs, dir: &str) -> Result<(), CliError> {
     if let Some(path) = &args.out {
         atomic_write_str(path, &history.to_json_string())?;
         println!("history written to {path}");
-    }
-    finish_telemetry(&tel)?;
-    Ok(())
-}
-
-/// Legacy resume from a single-file history snapshot (warm start: the
-/// population and surrogate are rebuilt, in-flight work is lost, and the
-/// continuation gets a fresh wall-time budget).
-fn resume_legacy(args: &ResumeArgs, history: &str) -> Result<(), CliError> {
-    let text = std::fs::read_to_string(history)?;
-    let checkpoint = SearchHistory::from_json_str(&text)
-        .map_err(|e| format!("cannot parse {history}: {e}"))?;
-    // Histories written since the variant was serialized carry it
-    // verbatim; label parsing is only a fallback for legacy files.
-    let variant = match &checkpoint.variant {
-        Some(v) => v.clone(),
-        None if checkpoint.label.starts_with("AgEBO") => agebo_core::Variant::agebo(),
-        None => {
-            if let Some(n) = checkpoint.label.strip_prefix("AgE-") {
-                let n = n.parse().map_err(|_| {
-                    format!(
-                        "cannot recover process count from history label {:?}",
-                        checkpoint.label
-                    )
-                })?;
-                agebo_core::Variant::age(n)
-            } else {
-                agebo_core::Variant::agebo()
-            }
-        }
-    };
-    let ctx = Arc::new(EvalContext::prepare(args.dataset, args.profile, args.seed));
-    let mut cfg = search_config(args.profile, variant).with_seed(args.seed);
-    cfg = apply_chaos_flags(cfg, args.failure_rate, args.chaos, args.checkpoint_every, &args.out);
-    let tel = telemetry_for(&args.telemetry)?;
-    let merged = resume_search_instrumented(Arc::clone(&ctx), &cfg, &checkpoint, &tel);
-    report(&merged);
-    if let Some(path) = &args.out {
-        atomic_write_str(path, &merged.to_json_string())?;
-        tel.emit(RunEvent::Checkpoint {
-            sim: merged.wall_time,
-            n_records: merged.len(),
-            path: path.clone(),
-        });
-        println!("merged history written to {path}");
     }
     finish_telemetry(&tel)?;
     Ok(())
@@ -720,9 +648,7 @@ mod tests {
             telemetry: Some(tel_dir.to_string_lossy().into_owned()),
             failure_rate: None,
             chaos: None,
-            // Exercise the periodic checkpoint path end to end: the
-            // history file is (over)written during the run too.
-            checkpoint_every: Some(5),
+            checkpoint_every: None,
             checkpoint_dir: None,
             surrogate_window: None,
             bo_trees: None,
@@ -743,8 +669,7 @@ mod tests {
         })
         .unwrap();
 
-        // And the history parses back with the variant serialized, so a
-        // resume needs no label guessing.
+        // And the history parses back with the variant serialized.
         let text = std::fs::read_to_string(&hist_path).unwrap();
         let h = SearchHistory::from_json_str(&text).unwrap();
         assert!(!h.is_empty());
@@ -754,6 +679,21 @@ mod tests {
             std::fs::remove_file(p).ok();
         }
         std::fs::remove_dir_all(&tel_dir).ok();
+    }
+
+    #[test]
+    fn resume_rejects_a_store_header_with_zero_workers() {
+        let dir = std::env::temp_dir().join(format!("agebo_cli_bad_header_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_s = dir.to_string_lossy().into_owned();
+        // The header a hand-edited MANIFEST.json would carry.
+        let mut cfg = SearchConfig::test(agebo_core::Variant::agebo()).with_seed(3);
+        cfg.workers = 0;
+        let header = run_header(&cfg, "covertype", SizeProfile::Test);
+        drop(DurableStore::create(Box::new(RealIo), &*dir_s, header).unwrap());
+        let err = resume(&ResumeArgs { dir: dir_s, out: None, telemetry: None }).unwrap_err();
+        assert!(err.to_string().contains("workers must be >= 1"), "{err}");
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -5,7 +5,7 @@
 //! * `agebo info` — search-space and benchmark-data summary;
 //! * `agebo search` — run AgE/AgEBO on a benchmark data set or a CSV,
 //!   write the history (and optionally the best model) to JSON;
-//! * `agebo resume` — continue a saved search history;
+//! * `agebo resume` — continue a search exactly-once from its durable store;
 //! * `agebo evaluate` — load a saved model and a CSV, print metrics.
 
 pub mod args;

@@ -183,17 +183,27 @@ impl RetryPolicy {
         self.backoff * 2f64.powi(attempt.saturating_sub(1).min(16) as i32)
     }
 
-    /// Validates the policy's parameters (panics on nonsense values).
-    pub fn validate(&self) {
-        assert!(self.max_attempts >= 1, "max_attempts must be >= 1");
-        assert!(self.backoff >= 0.0 && self.backoff.is_finite(), "bad backoff");
-        if let Some(k) = self.deadline_factor {
-            assert!(k > 1.0 && k.is_finite(), "deadline_factor must exceed 1");
+    /// Checks the policy's invariants, returning a human-readable reason
+    /// on failure.
+    pub fn validate(&self) -> Result<(), String> {
+        if self.max_attempts < 1 {
+            return Err("retry.max_attempts must be >= 1".to_string());
         }
-        assert!(
-            self.quarantine_cooldown >= 0.0 && self.quarantine_cooldown.is_finite(),
-            "bad quarantine_cooldown"
-        );
+        if !(self.backoff >= 0.0 && self.backoff.is_finite()) {
+            return Err(format!("retry.backoff must be finite and >= 0, got {}", self.backoff));
+        }
+        if let Some(k) = self.deadline_factor {
+            if !(k > 1.0 && k.is_finite()) {
+                return Err(format!("retry.deadline_factor must be finite and > 1, got {k}"));
+            }
+        }
+        if !(self.quarantine_cooldown >= 0.0 && self.quarantine_cooldown.is_finite()) {
+            return Err(format!(
+                "retry.quarantine_cooldown must be finite and >= 0, got {}",
+                self.quarantine_cooldown
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -260,19 +270,15 @@ pub struct SearchConfig {
     pub chaos: FaultPlan,
     /// Retry / deadline / quarantine policy for failed evaluations.
     pub retry: RetryPolicy,
-    /// Write a history checkpoint every this many recorded completions
-    /// (0 = off). Each checkpoint also emits `RunEvent::Checkpoint`.
+    /// Durable-store cadence: commit a delta to the attached store every
+    /// this many recorded completions (0 = only the final flush). Has no
+    /// effect on a run without a store.
     pub checkpoint_every: usize,
-    /// Destination of periodic checkpoints; required when
-    /// `checkpoint_every > 0` wants files on disk (with `None`, only the
-    /// telemetry event is emitted).
-    pub checkpoint_path: Option<String>,
     /// Directory of the segmented durable store
-    /// ([`crate::durable::DurableStore`]). When set together with
-    /// `checkpoint_every > 0`, every checkpoint appends an O(delta)
-    /// CRC-framed record batch there instead of (or in addition to) the
-    /// legacy full-file `checkpoint_path` rewrite, and the run becomes
-    /// resumable exactly-once after a crash.
+    /// ([`crate::durable::DurableStore`]). The caller opens the store
+    /// there and hands it to [`crate::run_search_durable`]; every
+    /// checkpoint appends an O(delta) CRC-framed record batch, and the
+    /// run becomes resumable exactly-once after a crash.
     pub checkpoint_dir: Option<String>,
 }
 
@@ -308,7 +314,6 @@ impl SearchConfig {
             chaos: FaultPlan::none(),
             retry: RetryPolicy::default(),
             checkpoint_every: 0,
-            checkpoint_path: None,
             checkpoint_dir: None,
         }
     }
@@ -385,19 +390,14 @@ impl SearchConfig {
         self
     }
 
-    /// Sets the retry / deadline / quarantine policy.
+    /// Sets the retry / deadline / quarantine policy (panics on an
+    /// invalid one — a caller bug; external input goes through
+    /// [`SearchConfig::validate`]).
     pub fn with_retry(mut self, retry: RetryPolicy) -> Self {
-        retry.validate();
+        if let Err(e) = retry.validate() {
+            panic!("{e}");
+        }
         self.retry = retry;
-        self
-    }
-
-    /// Checkpoints the history every `every` recorded completions to
-    /// `path` (`every = 0` disables; `path = None` emits only the
-    /// telemetry event).
-    pub fn with_checkpoints(mut self, every: usize, path: Option<String>) -> Self {
-        self.checkpoint_every = every;
-        self.checkpoint_path = path;
         self
     }
 
@@ -416,6 +416,30 @@ impl SearchConfig {
         self.checkpoint_every = every;
         self.checkpoint_dir = Some(dir.into());
         self
+    }
+
+    /// Checks the invariants the manager loop relies on, returning a
+    /// human-readable reason on failure. Every boundary that builds a
+    /// config from external bytes (CLI flags, a store header, a serve
+    /// config) calls this, so the loop's own `assert!` only ever catches
+    /// caller bugs.
+    pub fn validate(&self) -> Result<(), String> {
+        for (name, v) in [
+            ("workers", self.workers),
+            ("population", self.population),
+            ("sample_size", self.sample_size),
+        ] {
+            if v < 1 {
+                return Err(format!("{name} must be >= 1, got {v}"));
+            }
+        }
+        if !(self.wall_time > 0.0 && self.wall_time.is_finite()) {
+            return Err(format!("wall_time must be finite and > 0, got {}", self.wall_time));
+        }
+        if !(0.0..=1.0).contains(&self.failure_rate) {
+            return Err(format!("failure_rate must be in [0, 1], got {}", self.failure_rate));
+        }
+        self.retry.validate()
     }
 }
 
@@ -442,6 +466,24 @@ mod tests {
         assert_eq!(cfg.default_hp.bs1, 256);
         assert!((cfg.default_hp.lr1 - 0.01).abs() < 1e-9);
         assert_eq!(cfg.cost_epochs, 20);
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        let ok = SearchConfig::test(Variant::agebo());
+        assert_eq!(ok.validate(), Ok(()));
+        let rejects = |field: &str, breakage: fn(&mut SearchConfig)| {
+            let mut cfg = ok.clone();
+            breakage(&mut cfg);
+            let err = cfg.validate().unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        };
+        rejects("workers", |c| c.workers = 0);
+        rejects("population", |c| c.population = 0);
+        rejects("sample_size", |c| c.sample_size = 0);
+        rejects("wall_time", |c| c.wall_time = f64::NAN);
+        rejects("failure_rate", |c| c.failure_rate = 1.5);
+        rejects("retry.max_attempts", |c| c.retry.max_attempts = 0);
     }
 
     #[test]

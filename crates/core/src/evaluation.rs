@@ -151,6 +151,25 @@ impl TaskOutput {
     }
 }
 
+/// The evaluation recipe, written once: the task's freshly initialized
+/// network and the paper's training configuration for it. Weight init
+/// draws from the task seed's stream first, the trainer seed second.
+fn recipe(ctx: &EvalContext, task: &EvalTask) -> (GraphNet, DataParallelConfig) {
+    let mut stream = Stream::new(task.seed);
+    let net = GraphNet::new(ctx.space.to_graph(&task.arch), &mut stream.rng());
+    let cfg = DataParallelConfig {
+        epochs: ctx.epochs,
+        hp: ctx.applied_hp(task.hp),
+        warmup_epochs: ctx.warmup_epochs,
+        plateau_patience: ctx.plateau_patience,
+        plateau_factor: 0.1,
+        seed: stream.next_u64(),
+        weight_decay: 0.0,
+        grad_clip: None,
+    };
+    (net, cfg)
+}
+
 /// Trains the task's network and returns its best validation accuracy.
 pub fn evaluate(ctx: &EvalContext, task: &EvalTask) -> f64 {
     evaluate_instrumented(ctx, task, &TrainerTelemetry::register(&Telemetry::disabled()))
@@ -162,77 +181,17 @@ pub fn evaluate_instrumented(
     task: &EvalTask,
     tt: &TrainerTelemetry,
 ) -> f64 {
-    let spec = ctx.space.to_graph(&task.arch);
-    let mut stream = Stream::new(task.seed);
-    let mut net = GraphNet::new(spec, &mut stream.rng());
-    let hp = ctx.applied_hp(task.hp);
-    let cfg = DataParallelConfig {
-        epochs: ctx.epochs,
-        hp,
-        warmup_epochs: ctx.warmup_epochs,
-        plateau_patience: ctx.plateau_patience,
-        plateau_factor: 0.1,
-        seed: stream.next_u64(),
-        weight_decay: 0.0,
-        grad_clip: None,
-    };
-    let report = fit_data_parallel_instrumented(&mut net, &ctx.train, &ctx.valid, &cfg, tt);
-    report.best_val_acc
+    let (mut net, cfg) = recipe(ctx, task);
+    fit_data_parallel_instrumented(&mut net, &ctx.train, &ctx.valid, &cfg, tt).best_val_acc
 }
 
 /// Trains the task's network and returns `(net, best_val_acc)` — used for
 /// the final test-set evaluation of the best discovered model (Table II).
 pub fn train_final(ctx: &EvalContext, task: &EvalTask) -> (GraphNet, f64) {
-    let spec = ctx.space.to_graph(&task.arch);
-    let mut stream = Stream::new(task.seed);
-    let mut net = GraphNet::new(spec, &mut stream.rng());
-    let hp = ctx.applied_hp(task.hp);
-    let cfg = DataParallelConfig {
-        epochs: ctx.epochs,
-        hp,
-        warmup_epochs: ctx.warmup_epochs,
-        plateau_patience: ctx.plateau_patience,
-        plateau_factor: 0.1,
-        seed: stream.next_u64(),
-        weight_decay: 0.0,
-        grad_clip: None,
-    };
-    let report = fit_data_parallel_instrumented(
-        &mut net,
-        &ctx.train,
-        &ctx.valid,
-        &cfg,
-        &TrainerTelemetry::register(&Telemetry::disabled()),
-    );
+    let (mut net, cfg) = recipe(ctx, task);
+    let tt = TrainerTelemetry::register(&Telemetry::disabled());
+    let report = fit_data_parallel_instrumented(&mut net, &ctx.train, &ctx.valid, &cfg, &tt);
     (net, report.best_val_acc)
-}
-
-/// Fault-injected evaluation: with probability `failure_rate` (decided
-/// deterministically from the task seed) the evaluation reports a crash
-/// instead of an accuracy — exercising the search loop's resubmission
-/// path. `None` = failed.
-pub fn evaluate_with_faults(
-    ctx: &EvalContext,
-    task: &EvalTask,
-    failure_rate: f64,
-) -> Option<f64> {
-    evaluate_with_faults_instrumented(
-        ctx,
-        task,
-        failure_rate,
-        &TrainerTelemetry::register(&Telemetry::disabled()),
-    )
-}
-
-/// [`evaluate_with_faults`] recording training timings on `tt` (cache hits
-/// and faults skip training and record nothing).
-pub fn evaluate_with_faults_instrumented(
-    ctx: &EvalContext,
-    task: &EvalTask,
-    failure_rate: f64,
-    tt: &TrainerTelemetry,
-) -> Option<f64> {
-    evaluate_task_instrumented(ctx, task, failure_rate, tt).objective()
 }
 
 /// Reusable cross-evaluation scratch for a compute thread: the training
@@ -264,20 +223,7 @@ pub fn evaluate_pooled(
     scratch: &mut EvalScratch,
     cancel: Option<&AtomicBool>,
 ) -> f64 {
-    let spec = ctx.space.to_graph(&task.arch);
-    let mut stream = Stream::new(task.seed);
-    let mut net = GraphNet::new(spec, &mut stream.rng());
-    let hp = ctx.applied_hp(task.hp);
-    let cfg = DataParallelConfig {
-        epochs: ctx.epochs,
-        hp,
-        warmup_epochs: ctx.warmup_epochs,
-        plateau_patience: ctx.plateau_patience,
-        plateau_factor: 0.1,
-        seed: stream.next_u64(),
-        weight_decay: 0.0,
-        grad_clip: None,
-    };
+    let (mut net, cfg) = recipe(ctx, task);
     fit_data_parallel_pooled(&mut net, &ctx.train, &ctx.valid, &cfg, tt, &mut scratch.dp, cancel)
 }
 
@@ -336,11 +282,6 @@ pub fn injected_fault(task: &EvalTask, failure_rate: f64) -> bool {
     let label = 0xFA11 ^ (u64::from(task.attempt) << 16);
     let draw = Stream::new(task.seed).labeled(label) as f64 / u64::MAX as f64;
     draw < failure_rate
-}
-
-/// Random architecture/HP seeds derived per evaluation id.
-pub fn task_seed(search_seed: u64, eval_id: u64) -> u64 {
-    Stream::new(search_seed).labeled(eval_id)
 }
 
 /// Evaluation seed derived from the evaluation *content*: the search
@@ -445,13 +386,6 @@ mod tests {
             let pooled = evaluate_pooled(&ctx, &task, &tt, &mut scratch, None);
             assert_eq!(fresh.to_bits(), pooled.to_bits(), "task {i}");
         }
-    }
-
-    #[test]
-    fn task_seed_is_stable_and_distinct() {
-        assert_eq!(task_seed(1, 2), task_seed(1, 2));
-        assert_ne!(task_seed(1, 2), task_seed(1, 3));
-        assert_ne!(task_seed(1, 2), task_seed(2, 2));
     }
 
     #[test]

@@ -20,7 +20,13 @@
 //! * [`SearchConfig`] / [`Variant`] — choose AgE-n, AgEBO-8-LR,
 //!   AgEBO-8-LR-BS or full AgEBO, population sizes, simulated wall time;
 //! * [`run_search`] — execute the search, returning a [`SearchHistory`]
-//!   with one timed record per evaluated architecture.
+//!   with one timed record per evaluated architecture. Its siblings add
+//!   one capability each and forward to the same manager loop:
+//!   [`run_search_instrumented`] (telemetry), [`run_search_controlled`]
+//!   (budgets / deadlines / cancellation), [`run_search_served`]
+//!   (compute in an external shared pool) and [`run_search_durable`]
+//!   (a [`DurableStore`] to checkpoint into and resume from — the one
+//!   way a search is persisted and continued).
 //!
 //! ```no_run
 //! use agebo_core::{run_search, EvalContext, SearchConfig, Variant};
@@ -57,7 +63,6 @@ pub use agebo_scheduler::FaultPlan;
 pub use history::{EvalRecord, SearchHistory};
 pub use population::{Member, Population};
 pub use search::{
-    resume_search, resume_search_instrumented, run_search, run_search_controlled,
-    run_search_durable, run_search_instrumented, run_search_served, DurableRun, ExternalCompute,
-    RunControl, StopReason,
+    run_search, run_search_controlled, run_search_durable, run_search_instrumented,
+    run_search_served, DurableRun, ExternalCompute, RunControl, StopReason,
 };

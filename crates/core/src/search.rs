@@ -242,7 +242,7 @@ impl RunControl {
 /// the clock and utilization follow the paper-scale simulated durations
 /// from `cfg.cost`.
 pub fn run_search(ctx: Arc<EvalContext>, cfg: &SearchConfig) -> SearchHistory {
-    run_search_with_state(ctx, cfg, None, &Telemetry::disabled(), None).0
+    run_search_full(ctx, cfg, &Telemetry::disabled(), None, None, None).0
 }
 
 /// [`run_search`] with observability: the manager loop emits the
@@ -257,7 +257,7 @@ pub fn run_search_instrumented(
     cfg: &SearchConfig,
     tel: &Telemetry,
 ) -> SearchHistory {
-    run_search_with_state(ctx, cfg, None, tel, None).0
+    run_search_full(ctx, cfg, tel, None, None, None).0
 }
 
 /// [`run_search_instrumented`] under external control: budgets,
@@ -271,44 +271,7 @@ pub fn run_search_controlled(
     tel: &Telemetry,
     control: &RunControl,
 ) -> (SearchHistory, StopReason) {
-    run_search_with_state(ctx, cfg, None, tel, Some(control))
-}
-
-/// Resumes a search from a previous run's history.
-///
-/// The aging population is rebuilt from the last `P` completed
-/// evaluations and the BO surrogate is re-told every (hyperparameter,
-/// accuracy) pair, so the warm start carries both searches' state.
-/// Evaluations that were in flight when the checkpoint was taken are
-/// lost (they are not in the history); the resumed run gets a fresh
-/// `cfg.wall_time` budget and its records are appended with times offset
-/// by the checkpoint's wall time.
-pub fn resume_search(
-    ctx: Arc<EvalContext>,
-    cfg: &SearchConfig,
-    checkpoint: &SearchHistory,
-) -> SearchHistory {
-    run_search_with_state(ctx, cfg, Some(checkpoint), &Telemetry::disabled(), None).0
-}
-
-/// [`resume_search`] with observability; see [`run_search_instrumented`].
-pub fn resume_search_instrumented(
-    ctx: Arc<EvalContext>,
-    cfg: &SearchConfig,
-    checkpoint: &SearchHistory,
-    tel: &Telemetry,
-) -> SearchHistory {
-    run_search_with_state(ctx, cfg, Some(checkpoint), tel, None).0
-}
-
-fn run_search_with_state(
-    ctx: Arc<EvalContext>,
-    cfg: &SearchConfig,
-    warm: Option<&SearchHistory>,
-    tel: &Telemetry,
-    control: Option<&RunControl>,
-) -> (SearchHistory, StopReason) {
-    run_search_full(ctx, cfg, warm, tel, control, None, None)
+    run_search_full(ctx, cfg, tel, Some(control), None, None)
 }
 
 /// External compute for a search whose real trainings run in a shared
@@ -335,7 +298,7 @@ pub fn run_search_served(
     control: &RunControl,
     compute: ExternalCompute,
 ) -> (SearchHistory, StopReason) {
-    run_search_full(ctx, cfg, None, tel, Some(control), Some(compute), None)
+    run_search_full(ctx, cfg, tel, Some(control), Some(compute), None)
 }
 
 /// Durable-store wiring for one run: where delta checkpoints go, plus
@@ -381,13 +344,12 @@ pub fn run_search_durable(
     compute: Option<ExternalCompute>,
     durable: DurableRun<'_>,
 ) -> (SearchHistory, StopReason) {
-    run_search_full(ctx, cfg, None, tel, control, compute, Some(durable))
+    run_search_full(ctx, cfg, tel, control, compute, Some(durable))
 }
 
 fn run_search_full(
     ctx: Arc<EvalContext>,
     cfg: &SearchConfig,
-    warm: Option<&SearchHistory>,
     tel: &Telemetry,
     control: Option<&RunControl>,
     compute: Option<ExternalCompute>,
@@ -407,7 +369,7 @@ fn run_search_full(
         population: cfg.population,
         wall_time_budget: cfg.wall_time,
         cache_policy: cfg.cache.label().to_string(),
-        resumed: warm.is_some() || durable.as_ref().is_some_and(|d| d.recovered.is_some()),
+        resumed: durable.as_ref().is_some_and(|d| d.recovered.is_some()),
     });
     if let Some(rec) = durable.as_ref().and_then(|d| d.recovered) {
         tel.emit(RunEvent::ResumeRecovered {
@@ -520,32 +482,6 @@ fn run_search_full(
     // draining per-refit fit times into the `bo_fit_seconds` histogram.
     let mut bo_evictions_seen: u64 = 0;
     let mut bo_fit_drain: Vec<f64> = Vec::new();
-    // Warm start: replay the checkpoint into population and BO state.
-    if let Some(prev) = warm {
-        let mut sorted: Vec<&EvalRecord> = prev.records.iter().collect();
-        sorted.sort_by(|a, b| a.finished_at.partial_cmp(&b.finished_at).expect("finite"));
-        for r in &sorted {
-            population.push(Member { arch: r.arch.clone(), accuracy: r.objective });
-        }
-        if let Some(bo) = &mut bo {
-            let xs: Vec<HpPoint> =
-                sorted.iter().map(|r| point_of_hp(r.hp, &stel.lr_clamped)).collect();
-            let ys: Vec<f64> = sorted.iter().map(|r| r.objective).collect();
-            if !xs.is_empty() {
-                let rejected = bo.tell(&xs, &ys);
-                if rejected > 0 {
-                    stel.bo_rejected.add(rejected as u64);
-                    tel.emit(RunEvent::BoRejected {
-                        sim: evaluator.now(),
-                        n_points: rejected,
-                    });
-                }
-                let evicted = bo.window_evictions();
-                stel.bo_window_evictions.add(evicted - bo_evictions_seen);
-                bo_evictions_seen = evicted;
-            }
-        }
-    }
 
     let static_hp = match cfg.variant {
         Variant::Age { n } => Some(DataParallelHp { n, ..cfg.default_hp }),
@@ -670,49 +606,6 @@ fn run_search_full(
         submit(&mut evaluator, &mut pending, &memo, &mut submit_counter, arch, hp, None);
     }
 
-    // Assembles the history for the final return and for mid-run
-    // checkpoints, so a checkpoint is exactly a truncated final history.
-    let assemble = |records: Vec<EvalRecord>,
-                        n_failed: usize,
-                        n_cache_hits: usize,
-                        utilization: f64| -> SearchHistory {
-        match warm {
-            None => SearchHistory {
-                label: cfg.variant.label(),
-                dataset: ctx.meta.name.to_string(),
-                variant: Some(cfg.variant.clone()),
-                records,
-                wall_time: cfg.wall_time,
-                n_workers: cfg.workers,
-                utilization,
-                n_failed,
-                n_cache_hits,
-            },
-            Some(prev) => {
-                // Append with times shifted past the checkpoint's budget.
-                let offset = prev.wall_time;
-                let mut merged = prev.records.clone();
-                let base_id = merged.iter().map(|r| r.id).max().map_or(0, |m| m + 1);
-                for mut r in records {
-                    r.id += base_id;
-                    r.submitted_at += offset;
-                    r.finished_at += offset;
-                    merged.push(r);
-                }
-                SearchHistory {
-                    label: prev.label.clone(),
-                    dataset: prev.dataset.clone(),
-                    variant: Some(cfg.variant.clone()),
-                    records: merged,
-                    wall_time: offset + cfg.wall_time,
-                    n_workers: cfg.workers,
-                    utilization,
-                    n_failed: prev.n_failed + n_failed,
-                    n_cache_hits: prev.n_cache_hits + n_cache_hits,
-                }
-            }
-        }
-    };
     let mut last_checkpoint = 0usize;
     let mut stop_reason = StopReason::Completed;
 
@@ -855,28 +748,12 @@ fn run_search_full(
             }
         }
         // Periodic checkpoint: every `checkpoint_every` recorded
-        // completions. With a durable store attached, the delta since the
-        // store's committed prefix is appended (O(delta), crash-safe);
-        // the legacy full-snapshot rewrite runs only when an explicit
-        // `checkpoint_path` asks for it or no store is attached.
-        // `checkpoint_every = 0` disables the block entirely, leaving the
-        // event stream untouched.
+        // completions the delta since the store's committed prefix is
+        // appended (O(delta), crash-safe). Without a store, or with
+        // `checkpoint_every = 0`, nothing is persisted mid-run and the
+        // event stream is untouched.
         if cfg.checkpoint_every > 0 && records.len() >= last_checkpoint + cfg.checkpoint_every {
             last_checkpoint = records.len();
-            if durable.is_none() || cfg.checkpoint_path.is_some() {
-                let snapshot =
-                    assemble(records.clone(), n_failed, n_cache_hits, evaluator.utilization());
-                if let Some(path) = &cfg.checkpoint_path {
-                    // Best effort: a failed checkpoint write must not kill a
-                    // long-running search. The event still records the attempt.
-                    let _ = std::fs::write(path, snapshot.to_json_string());
-                }
-                tel.emit(RunEvent::Checkpoint {
-                    sim: evaluator.now(),
-                    n_records: snapshot.records.len(),
-                    path: cfg.checkpoint_path.clone().unwrap_or_default(),
-                });
-            }
             if let Some(d) = durable.as_mut() {
                 append_durable_delta(
                     d.store,
@@ -989,7 +866,7 @@ fn run_search_full(
                     };
                     tel.emit(RunEvent::BoAsk { sim: evaluator.now(), n_points: n_replace });
                     bo.take_fit_seconds(&mut bo_fit_drain);
-                    for &s in &bo_fit_drain {
+                    for s in bo_fit_drain.drain(..) {
                         stel.bo_fit.record(s);
                     }
                     (points.iter().map(hp_of_point).collect(), archs)
@@ -1040,7 +917,18 @@ fn run_search_full(
     }
     let utilization = evaluator.utilization();
     stel.utilization.set(utilization);
-    (assemble(records, n_failed, n_cache_hits, utilization), stop_reason)
+    let history = SearchHistory {
+        label: cfg.variant.label(),
+        dataset: ctx.meta.name.to_string(),
+        variant: Some(cfg.variant.clone()),
+        records,
+        wall_time: cfg.wall_time,
+        n_workers: cfg.workers,
+        utilization,
+        n_failed,
+        n_cache_hits,
+    };
+    (history, stop_reason)
 }
 
 /// Segments a compaction folds into a snapshot once this many are
@@ -1051,8 +939,8 @@ const AUTO_COMPACT_SEALED_SEGMENTS: usize = 8;
 /// marker, emitting the durability events and counters. Exactly-once by
 /// construction: the slice starts past the store's committed prefix, so
 /// a resumed run that replays already-persisted records never re-appends
-/// them. Best effort like the legacy checkpoint path — an I/O error
-/// leaves the store behind but must not kill the search.
+/// them. Best effort — an I/O error leaves the store behind but must not
+/// kill the search.
 #[allow(clippy::too_many_arguments)]
 fn append_durable_delta(
     store: &mut DurableStore,
@@ -1195,30 +1083,6 @@ mod tests {
     }
 
     #[test]
-    fn resume_extends_a_checkpoint() {
-        let shared = ctx();
-        let cfg = SearchConfig::test(Variant::agebo()).with_seed(8).with_wall_time(3000.0);
-        let first = run_search(Arc::clone(&shared), &cfg);
-        assert!(!first.is_empty());
-        let resumed = resume_search(Arc::clone(&shared), &cfg, &first);
-        assert!(resumed.len() > first.len(), "resume added no evaluations");
-        assert_eq!(resumed.wall_time, first.wall_time + cfg.wall_time);
-        // Old records are preserved verbatim; new ones come later in time.
-        for (a, b) in first.records.iter().zip(&resumed.records) {
-            assert_eq!(a.arch, b.arch);
-            assert_eq!(a.finished_at, b.finished_at);
-        }
-        let first_end = first.records.iter().map(|r| r.finished_at).fold(0.0, f64::max);
-        for r in &resumed.records[first.len()..] {
-            assert!(r.finished_at >= first_end);
-        }
-        // Ids stay unique after the merge.
-        let ids: std::collections::HashSet<u64> =
-            resumed.records.iter().map(|r| r.id).collect();
-        assert_eq!(ids.len(), resumed.len());
-    }
-
-    #[test]
     fn random_search_variant_never_mutates() {
         let cfg = SearchConfig::test(Variant::random_search()).with_seed(10);
         let h = run_search(ctx(), &cfg);
@@ -1327,34 +1191,6 @@ mod tests {
     }
 
     #[test]
-    fn checkpoints_are_written_and_resumable() {
-        let path = std::env::temp_dir().join(format!("agebo_ckpt_test_{}.json", std::process::id()));
-        let path_s = path.to_string_lossy().to_string();
-        let shared = ctx();
-        let cfg = SearchConfig::test(Variant::agebo())
-            .with_seed(23)
-            .with_checkpoints(5, Some(path_s));
-        let t = Telemetry::in_memory();
-        let h = run_search_instrumented(Arc::clone(&shared), &cfg, &t);
-        assert!(h.len() >= 5, "run too small to checkpoint: {}", h.len());
-        let s = t.events_jsonl().unwrap();
-        assert!(s.contains("\"type\":\"checkpoint\""), "no checkpoint events");
-        let text = std::fs::read_to_string(&path).expect("checkpoint file written");
-        let ck = SearchHistory::from_json_str(&text).expect("checkpoint parses");
-        let _ = std::fs::remove_file(&path);
-        // The checkpoint is a truncated final history with the variant
-        // serialized, so `resume` needs no label parsing.
-        assert_eq!(ck.variant, Some(cfg.variant.clone()));
-        assert!(!ck.records.is_empty() && ck.records.len() <= h.len());
-        for (c, f) in ck.records.iter().zip(&h.records) {
-            assert_eq!(c.id, f.id);
-            assert_eq!(c.objective.to_bits(), f.objective.to_bits());
-        }
-        let resumed = resume_search(shared, &cfg.clone().with_checkpoints(0, None), &ck);
-        assert!(resumed.len() > ck.records.len(), "resume added no evaluations");
-    }
-
-    #[test]
     fn hp_point_roundtrip() {
         let clamps = Counter::default();
         let hp = DataParallelHp { lr1: 0.0123, bs1: 512, n: 4 };
@@ -1413,6 +1249,31 @@ mod tests {
             snap.histograms["bo_ask_hidden_seconds"].count > 0,
             "pipelined run recorded no overlapped asks"
         );
+    }
+
+    #[test]
+    fn bo_fit_histogram_counts_each_refit_once() {
+        use agebo_telemetry::Envelope;
+        let cfg = SearchConfig::test(Variant::agebo()).with_seed(4).with_wall_time(4000.0);
+        let tel = Telemetry::in_memory();
+        run_search_instrumented(ctx(), &cfg, &tel);
+        // Once `bo_n_initial` observations exist, an `ask(q)` refits the
+        // forest q times (one fit plus q-1 constant-liar refits); before
+        // that it samples at random and fits nothing.
+        let mut observed = 0usize;
+        let mut refits = 0usize;
+        for line in tel.events_jsonl().unwrap().lines() {
+            match Envelope::parse(line).unwrap().event {
+                RunEvent::BoTell { n_points, .. } => observed += n_points,
+                RunEvent::BoAsk { n_points, .. } if observed >= cfg.bo_n_initial => {
+                    refits += n_points
+                }
+                _ => {}
+            }
+        }
+        assert!(refits > 0, "search too short to fit the surrogate");
+        let snap = tel.registry().snapshot();
+        assert_eq!(snap.histograms["bo_fit_seconds"].count as usize, refits);
     }
 
     #[test]

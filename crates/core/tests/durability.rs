@@ -45,10 +45,9 @@ fn tiny_ctx(seed: u64) -> Arc<EvalContext> {
 }
 
 fn base_cfg(seed: u64) -> SearchConfig {
-    SearchConfig::test(Variant::agebo())
-        .with_seed(seed)
-        .with_wall_time(2500.0)
-        .with_checkpoints(2, None)
+    let mut cfg = SearchConfig::test(Variant::agebo()).with_seed(seed).with_wall_time(2500.0);
+    cfg.checkpoint_every = 2;
+    cfg
 }
 
 fn header_for(cfg: &SearchConfig) -> RunHeader {

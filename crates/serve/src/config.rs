@@ -204,30 +204,25 @@ fn parse_session(s: &Json) -> Result<SessionDecl, String> {
     }
     .with_seed(seed);
     if let Some(w) = opt_f64(s, "wall_time", &what)? {
-        cfg = cfg.with_wall_time(w);
+        cfg.wall_time = w;
     }
     if let Some(w) = opt_usize(s, "workers", &what)? {
-        if w == 0 {
-            return Err(format!("{what}: workers must be ≥ 1"));
-        }
         cfg.workers = w;
     }
     if let Some(r) = opt_f64(s, "failure_rate", &what)? {
-        if !(0.0..=1.0).contains(&r) {
-            return Err(format!("{what}: failure_rate must be in [0, 1]"));
-        }
-        cfg = cfg.with_failure_rate(r);
+        cfg.failure_rate = r;
     }
     if let Some(c) = s.get("chaos_profile") {
         let c = c.as_str().ok_or_else(|| format!("{what}: chaos_profile must be a string"))?;
         cfg = cfg.with_chaos(parse_chaos(c)?);
     }
     if let Some(every) = opt_usize(s, "checkpoint_every", &what)? {
-        cfg = cfg.with_checkpoints(every, None);
+        cfg.checkpoint_every = every;
     }
     if let Some(window) = opt_usize(s, "surrogate_window", &what)? {
         cfg = cfg.with_surrogate_window(window);
     }
+    cfg.validate().map_err(|e| format!("{what}: {e}"))?;
     Ok(SessionDecl { name, tenant, dataset, profile, cfg })
 }
 
@@ -326,6 +321,16 @@ mod tests {
                 r#"{"sessions": [{"name": "x", "tenant": "t", "dataset": "covertype",
                    "profile": "test", "variant": "agebo", "seed": 1, "failure_rate": 1.5}]}"#,
                 "failure_rate",
+            ),
+            (
+                r#"{"sessions": [{"name": "x", "tenant": "t", "dataset": "covertype",
+                   "profile": "test", "variant": "agebo", "seed": 1, "wall_time": -1.0}]}"#,
+                "wall_time",
+            ),
+            (
+                r#"{"sessions": [{"name": "x", "tenant": "t", "dataset": "covertype",
+                   "profile": "test", "variant": "agebo", "seed": 1, "workers": 0}]}"#,
+                "workers",
             ),
             (
                 r#"{"sessions": [

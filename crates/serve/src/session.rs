@@ -297,6 +297,9 @@ impl SessionManager {
 
     /// Admission control + session launch.
     pub fn submit(&self, spec: SessionSpec) -> Admission {
+        if let Err(reason) = spec.cfg.validate() {
+            return Admission::Rejected { reason: format!("session {}: {reason}", spec.name) };
+        }
         self.register_tenant(&spec.tenant, TenantBudget::default());
         let (weight, allowance, deadline, active) = {
             let tenants = self.tenants.lock();
@@ -492,5 +495,22 @@ impl SessionManager {
 impl Drop for SessionManager {
     fn drop(&mut self) {
         self.pool.shutdown();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use agebo_core::Variant;
+
+    #[test]
+    fn invalid_config_is_rejected_at_admission() {
+        let manager = SessionManager::new(ServeOptions { slots: 1, cache_capacity: 16 });
+        let mut cfg = SearchConfig::test(Variant::agebo());
+        cfg.workers = 0;
+        let spec = SessionSpec::new("bad", "t", DatasetKind::Covertype, SizeProfile::Test, cfg);
+        let admission = manager.submit(spec);
+        let reason = admission.rejection().expect("workers = 0 must not reach the manager loop");
+        assert!(reason.contains("workers must be >= 1"), "{reason}");
     }
 }
