@@ -259,6 +259,14 @@ impl BoOptimizer {
         GpRegressor::fit(rows, ys, 1e-4)
     }
 
+    /// Draws the candidate pool of one fitted acquisition into
+    /// `cand_points` — the only rng a fitted forest `ask` consumes, shared
+    /// by the real argmax and [`BoOptimizer::ask_recorded`] so the two
+    /// cannot drift apart.
+    fn draw_pool(&mut self) {
+        self.space.sample_batch_into(&mut self.rng, self.cfg.n_candidates, &mut self.cand_points);
+    }
+
     /// Maximizes the UCB over a fresh random candidate pool, scoring the
     /// whole pool through the batched forest predictor. All candidates are
     /// drawn up front (encoding and prediction consume no rng), so the rng
@@ -266,9 +274,8 @@ impl BoOptimizer {
     /// one-row-at-a-time loop exactly.
     fn argmax_ucb_forest(&mut self) -> HpPoint {
         let d = self.space.len();
-        let m = self.cfg.n_candidates;
-        self.cand_enc.resize(m, d);
-        self.space.sample_batch_into(&mut self.rng, m, &mut self.cand_points);
+        self.draw_pool();
+        self.cand_enc.resize(self.cfg.n_candidates, d);
         for (i, cand) in self.cand_points.iter().enumerate() {
             self.space.encode_into(cand, self.cand_enc.row_mut(i));
         }
@@ -322,6 +329,55 @@ impl BoOptimizer {
             SurrogateKind::RandomForest => self.ask_forest(q, lie),
             SurrogateKind::GaussianProcess => self.ask_gp(q, lie),
         }
+    }
+
+    /// Fast-forward of [`BoOptimizer::ask`] for a caller that already
+    /// knows what `ask(q)` answered (a resume replaying recorded
+    /// evaluations): `is_answer(j, candidate)` says whether `candidate`
+    /// is the recorded choice for point `j`.
+    ///
+    /// Draws exactly the candidates `ask(q)` would draw — one random point
+    /// per answer before `n_initial`, one `n_candidates` pool per answer
+    /// afterwards — and returns, per point, a drawn candidate the
+    /// predicate accepts. No surrogate is fitted, scored or lied to: the
+    /// forest only decides *which* candidate wins, and the caller knows.
+    /// On `Some`, the optimizer is where `ask(q)` would have left it: the
+    /// rng advanced identically, and everything else an `ask` touches is
+    /// per-call scratch or fit-time telemetry, so every later real `ask`
+    /// answers the same either way.
+    ///
+    /// Returns `None`, with the rng restored, when some point has no
+    /// accepted candidate (the answers are not this optimizer's) or the
+    /// surrogate is fitted and not a forest; the caller then runs the real
+    /// `ask`.
+    pub fn ask_recorded(
+        &mut self,
+        q: usize,
+        is_answer: impl Fn(usize, &HpPoint) -> bool,
+    ) -> Option<Vec<HpPoint>> {
+        assert!(q > 0);
+        let fitted = self.observed_y.len() >= self.cfg.n_initial;
+        if fitted && self.cfg.surrogate != SurrogateKind::RandomForest {
+            return None;
+        }
+        let saved_rng = self.rng.clone();
+        let mut out = Vec::with_capacity(q);
+        for j in 0..q {
+            let hit = if fitted {
+                self.draw_pool();
+                self.cand_points.iter().find(|c| is_answer(j, c)).cloned()
+            } else {
+                Some(self.space.sample(&mut self.rng)).filter(|c| is_answer(j, c))
+            };
+            match hit {
+                Some(point) => out.push(point),
+                None => {
+                    self.rng = saved_rng;
+                    return None;
+                }
+            }
+        }
+        Some(out)
     }
 
     fn ask_forest(&mut self, q: usize, lie: f64) -> Vec<HpPoint> {
@@ -773,6 +829,85 @@ mod tests {
             w >= e - 0.15,
             "windowed suggestion drifted too far: exact={e:.4} windowed={w:.4}"
         );
+    }
+
+    /// Drives optimizer A with real `ask`/`tell` and optimizer B with
+    /// `ask_recorded` fed A's answers plus the same `tell`s. B must never
+    /// fit a surrogate, and the next real `ask` of both must agree — the
+    /// rng and the reservoir ended in the same state.
+    fn assert_fast_forward_tracks_real(cfg: BoConfig, q: usize, rounds: usize) {
+        let what = format!("{cfg:?} q={q} rounds={rounds}");
+        let mut a = BoOptimizer::new(Space::paper_hm(), cfg.clone());
+        let mut b = BoOptimizer::new(Space::paper_hm(), cfg);
+        for _ in 0..rounds {
+            let xs = a.ask(q);
+            let replayed = b.ask_recorded(q, |j, cand| *cand == xs[j]);
+            assert_eq!(replayed.as_ref(), Some(&xs), "{what}");
+            let ys: Vec<f64> = xs.iter().map(objective).collect();
+            a.tell(&xs, &ys);
+            b.tell(&xs, &ys);
+        }
+        let mut fits = Vec::new();
+        b.take_fit_seconds(&mut fits);
+        assert!(fits.is_empty(), "fast-forward refitted the surrogate: {what}");
+        assert_eq!(a.window_evictions(), b.window_evictions(), "{what}");
+        assert_eq!(a.ask(3), b.ask(3), "{what}");
+    }
+
+    #[test]
+    fn fast_forward_leaves_the_optimizer_where_the_real_ask_would() {
+        for seed in [1, 9, 23] {
+            for window in [0, 16] {
+                let cfg = BoConfig {
+                    n_initial: 8,
+                    n_candidates: 64,
+                    n_trees: 8,
+                    seed,
+                    surrogate_window: window,
+                    ..BoConfig::default()
+                };
+                // Still random / well past `n_initial` (and past the
+                // window, so the reservoir has evicted).
+                for (q, rounds) in [(1, 5), (1, 24), (4, 1), (4, 8)] {
+                    assert_fast_forward_tracks_real(cfg.clone(), q, rounds);
+                }
+                let no_liar = BoConfig { use_liar: false, ..cfg };
+                assert_fast_forward_tracks_real(no_liar, 4, 8);
+            }
+        }
+    }
+
+    #[test]
+    fn fast_forward_without_a_match_restores_the_rng() {
+        // Before and after `n_initial`: points 0 and 1 accept anything, so
+        // their draws are consumed before point 2 finds no candidate.
+        for rounds in [1, 6] {
+            let mut a = run_bo(0.001, rounds, 4, 19);
+            let mut b = run_bo(0.001, rounds, 4, 19);
+            assert_eq!(b.ask_recorded(3, |j, _| j < 2), None);
+            assert_eq!(a.ask(4), b.ask(4), "rounds={rounds}");
+        }
+    }
+
+    #[test]
+    fn fast_forward_declines_a_fitted_gp() {
+        let cfg = BoConfig {
+            n_initial: 4,
+            n_candidates: 16,
+            surrogate: SurrogateKind::GaussianProcess,
+            seed: 5,
+            ..BoConfig::default()
+        };
+        let mut a = BoOptimizer::new(Space::paper_hm(), cfg.clone());
+        let mut b = BoOptimizer::new(Space::paper_hm(), cfg);
+        // The random phase needs no surrogate, GP or not.
+        let xs = a.ask(4);
+        assert_eq!(b.ask_recorded(4, |j, cand| *cand == xs[j]), Some(xs.clone()));
+        let ys: Vec<f64> = xs.iter().map(objective).collect();
+        a.tell(&xs, &ys);
+        b.tell(&xs, &ys);
+        assert_eq!(b.ask_recorded(2, |_, _| true), None);
+        assert_eq!(a.ask(2), b.ask(2));
     }
 
     #[test]

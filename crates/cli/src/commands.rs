@@ -10,7 +10,10 @@ use agebo_core::{
 use agebo_serve::{
     Admission, ServeConfig, ServeOptions, SessionManager, SessionSpec, SessionTelemetry,
 };
-use agebo_telemetry::{atomic_write_str, Json, RunEvent, RunSummary, Telemetry, EVENTS_FILE};
+use agebo_telemetry::{
+    atomic_write_str, Json, MetricsSnapshot, RunEvent, RunSummary, Telemetry, EVENTS_FILE,
+    METRICS_FILE,
+};
 use agebo_nn::serialize::{load_model, save_model};
 use agebo_searchspace::SearchSpace;
 use agebo_tabular::csv::load_csv;
@@ -298,8 +301,10 @@ pub fn resume(args: &ResumeArgs) -> Result<(), CliError> {
     let mut cfg = search_config(profile, header.variant.clone())
         .with_seed(header.seed)
         .with_cache(header.cache)
-        .with_chaos(header.chaos)
         .with_checkpoint_dir(header.checkpoint_every, dir);
+    // Assigned, not `with_chaos`: the builder panics on an invalid plan,
+    // and these are bytes from disk — `validate` below reports them.
+    cfg.chaos = header.chaos;
     cfg.wall_time = header.wall_time;
     cfg.failure_rate = header.failure_rate;
     cfg.workers = header.workers;
@@ -352,13 +357,21 @@ pub fn resume(args: &ResumeArgs) -> Result<(), CliError> {
     Ok(())
 }
 
-/// `agebo report`: summarize a telemetry directory's event log.
+/// `agebo report`: summarize a telemetry directory's event log, plus the
+/// metrics-only counters of its `metrics.json` when one sits beside it.
 pub fn run_report(args: &ReportArgs) -> Result<(), CliError> {
     let path = std::path::Path::new(&args.dir);
     let events = if path.is_dir() { path.join(EVENTS_FILE) } else { path.to_path_buf() };
     let text = std::fs::read_to_string(&events)
         .map_err(|e| format!("cannot read {}: {e}", events.display()))?;
-    print!("{}", RunSummary::from_jsonl(&text).render());
+    let mut summary = RunSummary::from_jsonl(&text);
+    let metrics = events.with_file_name(METRICS_FILE);
+    if let Ok(text) = std::fs::read_to_string(&metrics) {
+        let snapshot = MetricsSnapshot::from_json_str(&text)
+            .map_err(|e| format!("cannot parse {}: {e}", metrics.display()))?;
+        summary = summary.with_metrics(&snapshot);
+    }
+    print!("{}", summary.render());
     Ok(())
 }
 
@@ -681,19 +694,38 @@ mod tests {
         std::fs::remove_dir_all(&tel_dir).ok();
     }
 
-    #[test]
-    fn resume_rejects_a_store_header_with_zero_workers() {
-        let dir = std::env::temp_dir().join(format!("agebo_cli_bad_header_{}", std::process::id()));
+    /// The error `agebo resume` reports for a store whose header carries
+    /// what a hand-edited MANIFEST.json would: `breakage` applied to an
+    /// otherwise valid config.
+    fn resume_error_for_header(tag: &str, breakage: fn(&mut SearchConfig)) -> String {
+        let dir =
+            std::env::temp_dir().join(format!("agebo_cli_bad_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let dir_s = dir.to_string_lossy().into_owned();
-        // The header a hand-edited MANIFEST.json would carry.
         let mut cfg = SearchConfig::test(agebo_core::Variant::agebo()).with_seed(3);
-        cfg.workers = 0;
+        breakage(&mut cfg);
         let header = run_header(&cfg, "covertype", SizeProfile::Test);
         drop(DurableStore::create(Box::new(RealIo), &*dir_s, header).unwrap());
-        let err = resume(&ResumeArgs { dir: dir_s, out: None, telemetry: None }).unwrap_err();
-        assert!(err.to_string().contains("workers must be >= 1"), "{err}");
+        let err = resume(&ResumeArgs { dir: dir_s.clone(), out: None, telemetry: None })
+            .unwrap_err()
+            .to_string();
         std::fs::remove_dir_all(&dir).ok();
+        assert!(err.contains(&format!("store {dir_s} header: ")), "{err}");
+        err
+    }
+
+    #[test]
+    fn resume_rejects_a_store_header_with_zero_workers() {
+        let err = resume_error_for_header("workers", |c| c.workers = 0);
+        assert!(err.contains("workers must be >= 1"), "{err}");
+    }
+
+    #[test]
+    fn resume_rejects_a_store_header_with_hand_edited_chaos() {
+        let err = resume_error_for_header("fraction", |c| c.chaos.straggler_fraction = 1.5);
+        assert!(err.contains("header: chaos.straggler_fraction"), "{err}");
+        let err = resume_error_for_header("mtbf", |c| c.chaos.mtbf = 0.0);
+        assert!(err.contains("header: chaos.mtbf"), "{err}");
     }
 
     #[test]

@@ -383,9 +383,12 @@ impl SearchConfig {
         self
     }
 
-    /// Installs a chaos plan (worker outages + stragglers).
+    /// Installs a chaos plan (worker outages + stragglers). Panics on an
+    /// invalid one, like [`SearchConfig::with_retry`].
     pub fn with_chaos(mut self, chaos: FaultPlan) -> Self {
-        chaos.validate();
+        if let Err(e) = chaos.validate() {
+            panic!("{e}");
+        }
         self.chaos = chaos;
         self
     }
@@ -439,6 +442,7 @@ impl SearchConfig {
         if !(0.0..=1.0).contains(&self.failure_rate) {
             return Err(format!("failure_rate must be in [0, 1], got {}", self.failure_rate));
         }
+        self.chaos.validate()?;
         self.retry.validate()
     }
 }
@@ -484,6 +488,8 @@ mod tests {
         rejects("wall_time", |c| c.wall_time = f64::NAN);
         rejects("failure_rate", |c| c.failure_rate = 1.5);
         rejects("retry.max_attempts", |c| c.retry.max_attempts = 0);
+        rejects("chaos.straggler_fraction", |c| c.chaos.straggler_fraction = 1.5);
+        rejects("chaos.mtbf", |c| c.chaos.mtbf = 0.0);
     }
 
     #[test]

@@ -228,21 +228,10 @@ pub fn evaluate_pooled(
 }
 
 /// The structured worker entry point: injected faults, the divergence
-/// guard, the memo-cache, and training, reported as a [`TaskOutput`].
-pub fn evaluate_task_instrumented(
-    ctx: &EvalContext,
-    task: &EvalTask,
-    failure_rate: f64,
-    tt: &TrainerTelemetry,
-) -> TaskOutput {
-    let mut scratch = EvalScratch::new();
-    evaluate_task_pooled(ctx, task, failure_rate, tt, &mut scratch, None)
-}
-
-/// [`evaluate_task_instrumented`] on pooled buffers with cooperative
-/// cancellation — the form the search's compute pool actually runs.
-/// A cancelled training still reports normally (its partial objective is
-/// discarded by the manager along with the evaluation's fate).
+/// guard, the memo-cache, and training on pooled buffers with cooperative
+/// cancellation, reported as a [`TaskOutput`]. A cancelled training still
+/// reports normally (its partial objective is discarded by the manager
+/// along with the evaluation's fate).
 pub fn evaluate_task_pooled(
     ctx: &EvalContext,
     task: &EvalTask,

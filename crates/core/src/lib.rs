@@ -56,8 +56,8 @@ pub use durable::{
     RunHeader, SimIo, StoreIo,
 };
 pub use evaluation::{
-    content_seed, evaluate, evaluate_instrumented, evaluate_pooled, evaluate_task_instrumented,
-    evaluate_task_pooled, injected_fault, EvalContext, EvalScratch, EvalTask, TaskOutput,
+    content_seed, evaluate, evaluate_instrumented, evaluate_pooled, evaluate_task_pooled,
+    injected_fault, EvalContext, EvalScratch, EvalTask, TaskOutput,
 };
 pub use agebo_scheduler::FaultPlan;
 pub use history::{EvalRecord, SearchHistory};

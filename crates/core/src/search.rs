@@ -105,6 +105,13 @@ struct SearchTelemetry {
     ckpt_bytes: Arc<Counter>,
     /// `ckpt_segments_total`: durable segments opened by this run.
     ckpt_segments: Arc<Counter>,
+    /// `resume_asks_fast_forwarded_total`: asks of a resumed run answered
+    /// from the recovered records without fitting the surrogate.
+    asks_fast_forwarded: Arc<Counter>,
+    /// `resume_asks_recomputed_total`: asks of a resumed run computed for
+    /// real — they feed an evaluation with no record (in flight, faulted
+    /// or retried at the stop). Both stay zero on a fresh run.
+    asks_recomputed: Arc<Counter>,
 }
 
 impl SearchTelemetry {
@@ -127,6 +134,8 @@ impl SearchTelemetry {
             bo_fit: tel.registry().histogram("bo_fit_seconds", &Histogram::seconds_bounds()),
             ckpt_bytes: tel.registry().counter("ckpt_bytes_written_total"),
             ckpt_segments: tel.registry().counter("ckpt_segments_total"),
+            asks_fast_forwarded: tel.registry().counter("resume_asks_fast_forwarded_total"),
+            asks_recomputed: tel.registry().counter("resume_asks_recomputed_total"),
         }
     }
 }
@@ -332,7 +341,10 @@ pub struct DurableRun<'a> {
 /// trajectory and re-issued with their original content-derived seeds,
 /// and records already committed to the store are never re-appended
 /// (appends start past `committed_records`): each evaluation lands in
-/// the durable history exactly once.
+/// the durable history exactly once. An `ask` whose answers are all on
+/// record replays them through [`BoOptimizer::ask_recorded`] instead of
+/// fitting the surrogate (same rng consumption, same hyperparameters —
+/// DESIGN.md §15); asks feeding an unrecorded evaluation run for real.
 ///
 /// `control` and `compute` make the same entry usable standalone (both
 /// `None`) and inside the serving layer (tenant control + shared pool).
@@ -476,6 +488,34 @@ fn run_search_full(
         }
     }
     let replay = replay;
+    // Resume fast-forward: the hyperparameters each recorded evaluation
+    // was submitted with, by evaluation id (the evaluator's sequential
+    // submission id, which `submit_counter` tracks). An `ask` whose `q`
+    // answers are all on record replays them through
+    // `BoOptimizer::ask_recorded` — same rng draws, no surrogate — keyed
+    // on `hp_of_point`, the only part of an ask's output the loop ever
+    // consumes (DESIGN.md §15). `None` (a fresh run, an answer with no
+    // record, or records no candidate matches) means: run the real `ask`.
+    let recorded_hp: Option<HashMap<u64, DataParallelHp>> = durable
+        .as_ref()
+        .and_then(|d| d.recovered)
+        .map(|rec| rec.records.iter().map(|r| (r.id, r.hp)).collect());
+    let ask_from_records = |bo: &mut BoOptimizer, first_id: u64, q: usize| {
+        let recorded_hp = recorded_hp.as_ref()?;
+        let answers: Option<Vec<DataParallelHp>> =
+            (first_id..first_id + q as u64).map(|id| recorded_hp.get(&id).copied()).collect();
+        let points = answers.and_then(|answers| {
+            bo.ask_recorded(q, |j, cand| {
+                let (hp, want) = (hp_of_point(cand), answers[j]);
+                hp.bs1 == want.bs1 && hp.n == want.n && hp.lr1.to_bits() == want.lr1.to_bits()
+            })
+        });
+        match points {
+            Some(_) => stel.asks_fast_forwarded.inc(),
+            None => stel.asks_recomputed.inc(),
+        }
+        points
+    };
 
     // Window-eviction counter shadow: `BoOptimizer::window_evictions` is
     // cumulative, the telemetry counter wants deltas. Scratch for
@@ -549,6 +589,7 @@ fn run_search_full(
             duration,
             opts,
         );
+        debug_assert_eq!(id + 1, *counter, "evaluation ids are the submission count");
         stel.submitted.inc();
         tel.emit(RunEvent::EvalSubmitted {
             id,
@@ -593,7 +634,8 @@ fn run_search_full(
             (Some(hp), _) => vec![*hp; cfg.workers],
             (None, Some(bo)) => {
                 let span = stel.bo_ask.start(evaluator.now());
-                let points = bo.ask(cfg.workers);
+                let points = ask_from_records(bo, submit_counter, cfg.workers)
+                    .unwrap_or_else(|| bo.ask(cfg.workers));
                 span.end(evaluator.now());
                 tel.emit(RunEvent::BoAsk { sim: evaluator.now(), n_points: cfg.workers });
                 points.iter().map(hp_of_point).collect()
@@ -838,12 +880,14 @@ fn run_search_full(
                 }
                 (None, Some(bo)) => {
                     let ask_sim = evaluator.now();
-                    let (points, archs) = if cfg.pipeline_ask {
-                        let bo_ask = &stel.bo_ask;
+                    let span = stel.bo_ask.start(ask_sim);
+                    // The ids this ask fills: the round's retries were
+                    // resubmitted above, so the counter is final.
+                    let recorded = ask_from_records(bo, submit_counter, n_replace);
+                    let (points, archs) = if recorded.is_none() && cfg.pipeline_ask {
                         std::thread::scope(|scope| {
                             let ask_thread = scope.spawn(|| {
                                 let t0 = Instant::now();
-                                let span = bo_ask.start(ask_sim);
                                 let points = bo.ask(n_replace);
                                 span.end(ask_sim);
                                 (points, t0.elapsed().as_secs_f64())
@@ -859,8 +903,10 @@ fn run_search_full(
                             (points, archs)
                         })
                     } else {
-                        let span = stel.bo_ask.start(ask_sim);
-                        let points = bo.ask(n_replace);
+                        // A fast-forwarded ask runs inline even when
+                        // pipelining: it has nothing to hide behind
+                        // architecture generation.
+                        let points = recorded.unwrap_or_else(|| bo.ask(n_replace));
                         span.end(ask_sim);
                         (points, gen_archs(n_replace, &mut arch_rng, &population))
                     };

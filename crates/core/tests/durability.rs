@@ -26,11 +26,11 @@
 use agebo_core::durable::MANIFEST_FILE;
 use agebo_core::{
     run_search_durable, CheckpointMeta, DurableRun, DurableStore, EvalContext, EvalRecord,
-    FaultPlan, RunHeader, SearchConfig, SimIo, StopReason, Variant,
+    FaultPlan, Recovered, RunHeader, SearchConfig, SimIo, StopReason, Variant,
 };
 use agebo_searchspace::SearchSpace;
 use agebo_tabular::{DatasetKind, SizeProfile};
-use agebo_telemetry::Telemetry;
+use agebo_telemetry::{Envelope, RunEvent, Telemetry};
 use std::path::PathBuf;
 use std::sync::Arc;
 
@@ -328,22 +328,7 @@ fn windowed_resume_replays_tells_through_the_reservoir() {
     let tel = Telemetry::disabled();
     for k in [total_ops / 2, total_ops - 2] {
         let what = format!("windowed k={k}");
-        let sim = SimIo::new();
-        sim.set_fuse(k);
-        let mut store = DurableStore::create(Box::new(sim.clone()), DIR, header_for(&cfg))
-            .expect("fuse must outlast create");
-        let _ = run_search_durable(
-            Arc::clone(&ctx),
-            &cfg,
-            &tel,
-            None,
-            None,
-            DurableRun { store: &mut store, recovered: None },
-        );
-        drop(store);
-        let (mut s2, rec) =
-            DurableStore::open(Box::new(SimIo::from_files(sim.durable_files(false, true))), DIR)
-                .unwrap_or_else(|e| panic!("{what}: open failed: {e}"));
+        let (mut s2, rec) = crash_and_recover(&ctx, &cfg, k);
         assert_eq!(rec.header.surrogate_window, 4, "{what}: header lost the window");
         assert_prefix(&rec.records, &h_star.records, &what);
         let (h2, stop2) = run_search_durable(
@@ -372,24 +357,8 @@ fn resume_is_bitwise_identical_under_chaos_and_failures() {
     let base_json = h_star.to_json_string();
     assert!(h_star.n_failed > 0, "failure rate produced no failures — test is vacuous");
 
-    let sim = SimIo::new();
-    sim.set_fuse(total_ops / 2);
-    let mut store = DurableStore::create(Box::new(sim.clone()), DIR, header_for(&cfg))
-        .expect("fuse must outlast create");
     let tel = Telemetry::disabled();
-    let _ = run_search_durable(
-        Arc::clone(&ctx),
-        &cfg,
-        &tel,
-        None,
-        None,
-        DurableRun { store: &mut store, recovered: None },
-    );
-    drop(store);
-
-    let (mut s2, rec) =
-        DurableStore::open(Box::new(SimIo::from_files(sim.durable_files(false, true))), DIR)
-            .expect("open chaos crash image");
+    let (mut s2, rec) = crash_and_recover(&ctx, &cfg, total_ops / 2);
     assert_prefix(&rec.records, &h_star.records, "chaos crash");
     let (h2, _) = run_search_durable(
         Arc::clone(&ctx),
@@ -400,6 +369,152 @@ fn resume_is_bitwise_identical_under_chaos_and_failures() {
         DurableRun { store: &mut s2, recovered: Some(&rec) },
     );
     assert_eq!(h2.to_json_string(), base_json, "chaos resume diverged");
+}
+
+/// Runs `cfg` into a fresh store, kills it after mutating op `k`, and
+/// opens the crash image (renames pending, tail torn).
+fn crash_and_recover(
+    ctx: &Arc<EvalContext>,
+    cfg: &SearchConfig,
+    k: u64,
+) -> (DurableStore, Recovered) {
+    let sim = SimIo::new();
+    sim.set_fuse(k);
+    let mut store = DurableStore::create(Box::new(sim.clone()), DIR, header_for(cfg))
+        .expect("fuse must outlast create");
+    let _ = run_search_durable(
+        Arc::clone(ctx),
+        cfg,
+        &Telemetry::disabled(),
+        None,
+        None,
+        DurableRun { store: &mut store, recovered: None },
+    );
+    drop(store);
+    DurableStore::open(Box::new(SimIo::from_files(sim.durable_files(false, true))), DIR)
+        .expect("open crash image")
+}
+
+/// What a resumed run reports about its asks.
+struct ResumedAsks {
+    history_json: String,
+    fast_forwarded: u64,
+    recomputed: u64,
+    /// `n_points` of every `BoAsk` event, in stream order.
+    ask_sizes: Vec<usize>,
+}
+
+fn resume_counting_asks(
+    ctx: &Arc<EvalContext>,
+    cfg: &SearchConfig,
+    store: &mut DurableStore,
+    recovered: &Recovered,
+) -> ResumedAsks {
+    let tel = Telemetry::in_memory();
+    let (h, stop) = run_search_durable(
+        Arc::clone(ctx),
+        cfg,
+        &tel,
+        None,
+        None,
+        DurableRun { store, recovered: Some(recovered) },
+    );
+    assert_eq!(stop, StopReason::Completed);
+    let ask_sizes = tel
+        .events_jsonl()
+        .expect("in-memory stream")
+        .lines()
+        .filter_map(|line| match Envelope::parse(line).expect("event parses").event {
+            RunEvent::BoAsk { n_points, .. } => Some(n_points),
+            _ => None,
+        })
+        .collect();
+    let counters = tel.registry().snapshot().counters;
+    ResumedAsks {
+        history_json: h.to_json_string(),
+        fast_forwarded: counters["resume_asks_fast_forwarded_total"],
+        recomputed: counters["resume_asks_recomputed_total"],
+        ask_sizes,
+    }
+}
+
+/// The resume fast-forward (asks answered from the recovered records,
+/// no surrogate fit) must be invisible: resumed == uninterrupted, byte
+/// for byte, with the ask pipelined or inline, under chaos and injected
+/// failures (retried and faulted ids have no record, so their asks are
+/// recomputed), exact and windowed. Every ask is accounted for as one
+/// or the other, and some really were fast-forwarded.
+#[test]
+fn fast_forwarded_resume_is_bitwise_identical_across_the_matrix() {
+    let ctx = tiny_ctx(31);
+    for hostile in [false, true] {
+        for window in [0, 4] {
+            let mut base = base_cfg(31).with_surrogate_window(window);
+            if hostile {
+                base = base.with_failure_rate(0.2).with_chaos(FaultPlan::heavy());
+            }
+            let (h_star, _, total_ops) = durable_baseline(&ctx, &base);
+            assert!(h_star.len() > window, "run too small for window {window}");
+            if hostile {
+                assert!(h_star.n_failed > 0, "hostile run never failed — vacuous");
+            }
+            let base_json = h_star.to_json_string();
+            for pipeline_ask in [true, false] {
+                let what = format!("hostile={hostile} window={window} pipeline={pipeline_ask}");
+                let cfg = base.clone().with_pipeline_ask(pipeline_ask);
+                let (mut store, rec) = crash_and_recover(&ctx, &cfg, total_ops * 2 / 3);
+                assert_prefix(&rec.records, &h_star.records, &what);
+                let resumed = resume_counting_asks(&ctx, &cfg, &mut store, &rec);
+                assert_eq!(resumed.history_json, base_json, "{what}: resumed history diverged");
+                assert!(resumed.fast_forwarded > 0, "{what}: nothing was fast-forwarded");
+                assert_eq!(
+                    (resumed.fast_forwarded + resumed.recomputed) as usize,
+                    resumed.ask_sizes.len(),
+                    "{what}: an ask was neither fast-forwarded nor recomputed"
+                );
+            }
+        }
+    }
+}
+
+/// A recovered record whose `hp` no drawn candidate matches (a foreign
+/// or hand-edited store) must cost one fast-forward, nothing else: the
+/// ask that would have replayed it falls back to the real `ask` with the
+/// rng restored, and the history is still the uninterrupted one.
+#[test]
+fn tampered_record_falls_back_to_the_real_ask() {
+    let ctx = tiny_ctx(31);
+    let cfg = base_cfg(31);
+    let (h_star, _, total_ops) = durable_baseline(&ctx, &cfg);
+    let base_json = h_star.to_json_string();
+
+    let (mut store, mut rec) = crash_and_recover(&ctx, &cfg, total_ops * 2 / 3);
+    let clean = resume_counting_asks(&ctx, &cfg, &mut store, &rec);
+    assert_eq!(clean.history_json, base_json);
+
+    // This run has no faults or retries, so every submission is an ask
+    // point and ask `i` fills the ids right after ask `i - 1`'s. Tamper
+    // the first id of an ask the clean resume fast-forwarded (all of its
+    // ids on record).
+    let on_record = |id: u64| rec.records.iter().any(|r| r.id == id);
+    let mut first_id = 0u64;
+    let mut victim = None;
+    for &q in &clean.ask_sizes {
+        let ids = first_id..first_id + q as u64;
+        if victim.is_none() && ids.clone().all(on_record) {
+            victim = Some(first_id);
+        }
+        first_id = ids.end;
+    }
+    let victim = victim.expect("the clean resume fast-forwarded an ask");
+    let r = rec.records.iter_mut().find(|r| r.id == victim).expect("victim is on record");
+    r.hp.lr1 = f32::from_bits(r.hp.lr1.to_bits() ^ 1);
+
+    let (mut store, _) = crash_and_recover(&ctx, &cfg, total_ops * 2 / 3);
+    let tampered = resume_counting_asks(&ctx, &cfg, &mut store, &rec);
+    assert_eq!(tampered.history_json, base_json, "fallback changed the history");
+    assert_eq!(tampered.fast_forwarded, clean.fast_forwarded - 1);
+    assert_eq!(tampered.recomputed, clean.recomputed + 1);
 }
 
 /// Corruption sweep over a completed store: a flipped byte or a

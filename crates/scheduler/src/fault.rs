@@ -108,15 +108,31 @@ impl FaultPlan {
         self.straggler_fraction > 0.0 && self.straggler_factor > 1.0
     }
 
-    /// Validates the plan's parameters (panics on nonsense values).
-    pub fn validate(&self) {
-        assert!(self.mtbf > 0.0, "mtbf must be positive");
-        assert!(self.mttr >= 0.0 && self.mttr.is_finite(), "mttr must be finite and >= 0");
-        assert!(
-            (0.0..=1.0).contains(&self.straggler_fraction),
-            "straggler_fraction must be in [0,1]"
-        );
-        assert!(self.straggler_factor >= 1.0, "straggler_factor must be >= 1");
+    /// Checks the plan's parameters, returning a human-readable reason on
+    /// failure. Plans built from external bytes (a store header) go
+    /// through this; [`crate::SimQueue::install_faults`] still panics on
+    /// an invalid plan (a caller bug).
+    pub fn validate(&self) -> Result<(), String> {
+        // `mtbf` may be +inf (no outages) but not NaN.
+        if self.mtbf.is_nan() || self.mtbf <= 0.0 {
+            return Err(format!("chaos.mtbf must be > 0, got {}", self.mtbf));
+        }
+        if !(self.mttr >= 0.0 && self.mttr.is_finite()) {
+            return Err(format!("chaos.mttr must be finite and >= 0, got {}", self.mttr));
+        }
+        if !(0.0..=1.0).contains(&self.straggler_fraction) {
+            return Err(format!(
+                "chaos.straggler_fraction must be in [0, 1], got {}",
+                self.straggler_fraction
+            ));
+        }
+        if self.straggler_factor.is_nan() || self.straggler_factor < 1.0 {
+            return Err(format!(
+                "chaos.straggler_factor must be >= 1, got {}",
+                self.straggler_factor
+            ));
+        }
+        Ok(())
     }
 }
 
@@ -172,7 +188,9 @@ pub(crate) struct FaultState {
 
 impl FaultState {
     pub(crate) fn new(plan: FaultPlan, seed: u64, n_workers: usize) -> FaultState {
-        plan.validate();
+        if let Err(why) = plan.validate() {
+            panic!("invalid FaultPlan: {why}");
+        }
         let speed = (0..n_workers)
             .map(|w| {
                 if !plan.has_stragglers() {
@@ -284,8 +302,30 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "straggler_fraction")]
     fn validate_rejects_bad_fraction() {
-        FaultPlan { straggler_fraction: 1.5, ..FaultPlan::mild() }.validate();
+        let err = FaultPlan { straggler_fraction: 1.5, ..FaultPlan::mild() }.validate();
+        assert!(err.unwrap_err().contains("straggler_fraction"));
+    }
+
+    #[test]
+    fn validate_names_the_offending_field() {
+        for plan in [FaultPlan::none(), FaultPlan::mild(), FaultPlan::heavy()] {
+            assert_eq!(plan.validate(), Ok(()));
+        }
+        let rejects = |field: &str, plan: FaultPlan| {
+            let err = plan.validate().unwrap_err();
+            assert!(err.contains(field), "{field}: {err}");
+        };
+        rejects("mtbf", FaultPlan { mtbf: 0.0, ..FaultPlan::mild() });
+        rejects("mtbf", FaultPlan { mtbf: f64::NAN, ..FaultPlan::mild() });
+        rejects("mttr", FaultPlan { mttr: f64::INFINITY, ..FaultPlan::mild() });
+        rejects("straggler_fraction", FaultPlan { straggler_fraction: -0.1, ..FaultPlan::mild() });
+        rejects("straggler_factor", FaultPlan { straggler_factor: 0.5, ..FaultPlan::mild() });
+    }
+
+    #[test]
+    #[should_panic(expected = "invalid FaultPlan")]
+    fn installing_an_invalid_plan_panics() {
+        FaultState::new(FaultPlan { mtbf: -1.0, ..FaultPlan::mild() }, 1, 2);
     }
 }

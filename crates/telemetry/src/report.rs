@@ -2,10 +2,12 @@
 //! stream and render it for the `agebo report` CLI surface.
 
 use crate::events::{Envelope, RunEvent};
+use crate::metrics::MetricsSnapshot;
 use std::collections::{HashMap, HashSet};
 
 /// Everything the `report` subcommand prints, computed from the event
-/// log alone (no metrics snapshot required).
+/// log alone — except the resume-ask counters, which are metrics-only
+/// and stay zero until [`RunSummary::with_metrics`] supplies a snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Variant label from the manifest (empty when absent).
@@ -67,6 +69,13 @@ pub struct RunSummary {
     pub resume_reissued: usize,
     /// Torn segment-tail bytes discarded during recovery.
     pub resume_discarded_bytes: u64,
+    /// Asks a resume answered from the recovered records without fitting
+    /// the surrogate (`resume_asks_fast_forwarded_total`).
+    pub resume_asks_fast_forwarded: u64,
+    /// Asks a resume computed for real because an evaluation they feed
+    /// had no record (`resume_asks_recomputed_total`) — many of these is
+    /// why a resume was slow.
+    pub resume_asks_recomputed: u64,
 }
 
 impl RunSummary {
@@ -103,6 +112,8 @@ impl RunSummary {
             resume_replayed: 0,
             resume_reissued: 0,
             resume_discarded_bytes: 0,
+            resume_asks_fast_forwarded: 0,
+            resume_asks_recomputed: 0,
         };
         let mut ckpt_segments: HashSet<u64> = HashSet::new();
         let mut submitted_at: HashMap<u64, f64> = HashMap::new();
@@ -214,6 +225,15 @@ impl RunSummary {
         s
     }
 
+    /// Fills in the fields the event stream does not carry from the
+    /// run's metrics snapshot (`metrics.json`).
+    pub fn with_metrics(mut self, metrics: &MetricsSnapshot) -> RunSummary {
+        let counter = |name: &str| metrics.counters.get(name).copied().unwrap_or(0);
+        self.resume_asks_fast_forwarded = counter("resume_asks_fast_forwarded_total");
+        self.resume_asks_recomputed = counter("resume_asks_recomputed_total");
+        self
+    }
+
     /// The final best objective, if any evaluation finished.
     pub fn best_objective(&self) -> Option<f64> {
         self.best_so_far.last().map(|&(_, b)| b)
@@ -274,18 +294,22 @@ impl RunSummary {
             push(&mut out, format!("eval latency: {}", q.join(" ")));
         }
         if self.n_ckpt_segments > 0 || self.n_compactions > 0 || self.resume_replayed > 0 {
-            push(
-                &mut out,
-                format!(
-                    "durability:   {} segments, {} bytes, {} compactions, resume {} replayed / {} reissued / {} tail bytes discarded",
-                    self.n_ckpt_segments,
-                    self.ckpt_bytes,
-                    self.n_compactions,
-                    self.resume_replayed,
-                    self.resume_reissued,
-                    self.resume_discarded_bytes
-                ),
+            let mut line = format!(
+                "durability:   {} segments, {} bytes, {} compactions, resume {} replayed / {} reissued / {} tail bytes discarded",
+                self.n_ckpt_segments,
+                self.ckpt_bytes,
+                self.n_compactions,
+                self.resume_replayed,
+                self.resume_reissued,
+                self.resume_discarded_bytes
             );
+            if self.resume_asks_fast_forwarded + self.resume_asks_recomputed > 0 {
+                line.push_str(&format!(
+                    ", asks {} fast-forwarded / {} recomputed",
+                    self.resume_asks_fast_forwarded, self.resume_asks_recomputed
+                ));
+            }
+            push(&mut out, line);
         }
         if let Some(best) = self.best_objective() {
             push(&mut out, format!("best:         {best:.4} validation accuracy"));
@@ -421,8 +445,17 @@ mod tests {
         let text = s.render();
         assert!(
             text.contains(
-                "durability:   2 segments, 1230 bytes, 1 compactions, resume 5 replayed / 2 reissued / 17 tail bytes discarded"
+                "durability:   2 segments, 1230 bytes, 1 compactions, resume 5 replayed / 2 reissued / 17 tail bytes discarded\n"
             ),
+            "{text}"
+        );
+        // The resume-ask counters live in the metrics snapshot only.
+        let mut metrics = MetricsSnapshot::default();
+        metrics.counters.insert("resume_asks_fast_forwarded_total".into(), 4);
+        metrics.counters.insert("resume_asks_recomputed_total".into(), 2);
+        let text = s.with_metrics(&metrics).render();
+        assert!(
+            text.contains("17 tail bytes discarded, asks 4 fast-forwarded / 2 recomputed\n"),
             "{text}"
         );
     }
