@@ -378,6 +378,41 @@ mod tests {
     }
 
     #[test]
+    fn scratch_that_served_a_cancelled_training_is_as_good_as_fresh() {
+        use std::sync::atomic::Ordering;
+        let prepare = || EvalContext::prepare(DatasetKind::Airlines, SizeProfile::Test, 4);
+        let ctx = prepare();
+        let mut rng = StdRng::seed_from_u64(2);
+        let tt = TrainerTelemetry::register(&Telemetry::disabled());
+        let mut task = |n, seed| EvalTask {
+            arch: ctx.space.random(&mut rng),
+            hp: DataParallelHp { lr1: 0.02, bs1: 64, n },
+            seed,
+            attempt: 0,
+            cached: None,
+        };
+        let (stopped, next) = (task(2, 50), task(3, 51));
+        let mut scratch = EvalScratch::new();
+        // A stop overtakes the first training a few steps in — far too
+        // many epochs for it to finish before the watcher gets to run.
+        let endless = prepare().with_epochs(100_000);
+        let cancel = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while tt.steps.get() < 3 {
+                    std::thread::yield_now();
+                }
+                cancel.store(true, Ordering::Relaxed);
+            });
+            evaluate_pooled(&endless, &stopped, &tt, &mut scratch, Some(&cancel));
+        });
+        assert_eq!(tt.aborts.get(), 1);
+        let reused = evaluate_pooled(&ctx, &next, &tt, &mut scratch, None);
+        let fresh = evaluate_pooled(&ctx, &next, &tt, &mut EvalScratch::new(), None);
+        assert_eq!(reused.to_bits(), fresh.to_bits());
+    }
+
+    #[test]
     fn with_epochs_caps_warmup() {
         let ctx = EvalContext::prepare(DatasetKind::Airlines, SizeProfile::Test, 5)
             .with_epochs(2);

@@ -112,6 +112,14 @@ struct SearchTelemetry {
     /// real — they feed an evaluation with no record (in flight, faulted
     /// or retried at the stop). Both stay zero on a fresh run.
     asks_recomputed: Arc<Counter>,
+    /// `search_trainings_abandoned_total`: evaluations dispatched to the
+    /// owned compute pool and discarded unstarted when the loop ended.
+    trainings_abandoned: Arc<Counter>,
+    /// `search_trainings_cancelled_total`: evaluations the owned pool was
+    /// computing when the loop ended, flagged to abort. Both depend on
+    /// real-time scheduling (metrics only) and stay zero under an
+    /// external pool.
+    trainings_cancelled: Arc<Counter>,
 }
 
 impl SearchTelemetry {
@@ -136,6 +144,8 @@ impl SearchTelemetry {
             ckpt_segments: tel.registry().counter("ckpt_segments_total"),
             asks_fast_forwarded: tel.registry().counter("resume_asks_fast_forwarded_total"),
             asks_recomputed: tel.registry().counter("resume_asks_recomputed_total"),
+            trainings_abandoned: tel.registry().counter("search_trainings_abandoned_total"),
+            trainings_cancelled: tel.registry().counter("search_trainings_cancelled_total"),
         }
     }
 }
@@ -417,8 +427,9 @@ fn run_search_full(
     // out per evaluation and returns it on completion, so the steady
     // state of the whole search allocates no training buffers
     // (`eval_scratch_hits_total` / `_misses_total`). The per-task cancel
-    // flag lets a training the cluster already killed stop at its next
-    // epoch boundary instead of running to completion.
+    // flag lets a training the cluster already killed — or the end of
+    // the search overtook — stop at its next step boundary instead of
+    // running to completion.
     let scratch_pool: Arc<ScratchPool<EvalScratch>> =
         Arc::new(ScratchPool::register(tel, "eval_scratch", EvalScratch::new));
     let mut evaluator: Evaluator<EvalTask, TaskOutput> = match compute {
@@ -925,6 +936,14 @@ fn run_search_full(
         }
     }
 
+    // Nothing still dispatched can be recorded any more — on natural
+    // completion, at `wall_time` and on a control stop alike — so the
+    // owned pool drops its queue and aborts what it is training instead
+    // of finishing work nobody collects (DESIGN.md §11).
+    let closed = evaluator.close();
+    stel.trainings_abandoned.add(closed.abandoned as u64);
+    stel.trainings_cancelled.add(closed.cancelled as u64);
+
     // Final durable flush: records completed since the last periodic
     // checkpoint are committed on *every* exit path (natural completion
     // and control stops alike), so the store never trails the returned
@@ -1382,6 +1401,71 @@ mod tests {
         for (a, b) in h.records.iter().zip(&full.records) {
             assert_eq!(a.id, b.id);
             assert_eq!(a.objective.to_bits(), b.objective.to_bits());
+        }
+    }
+
+    #[test]
+    fn allowance_one_trains_what_it_collects_and_abandons_the_batch() {
+        // Twelve slots: the whole first batch is dispatched before the
+        // manager blocks once. One compute thread trains the first
+        // finisher and may start one more task before the stop reaches it.
+        // Long trainings, so a stalled manager thread cannot let a third
+        // task start before `close`.
+        let shared =
+            Arc::new(EvalContext::prepare(DatasetKind::Covertype, SizeProfile::Test, 7).with_epochs(24));
+        let mut cfg = SearchConfig::test(Variant::agebo()).with_seed(11).with_wall_time(400.0);
+        cfg.workers = 12;
+        cfg.n_threads = 1;
+        let full = run_search(Arc::clone(&shared), &cfg);
+        let tel = Telemetry::in_memory();
+        let control = RunControl::unlimited().with_allowance(Arc::new(AtomicU64::new(1)));
+        let (h, reason) = run_search_controlled(shared, &cfg, &tel, &control);
+        assert_eq!(reason, StopReason::BudgetExhausted);
+        assert!(!h.is_empty() && h.len() < full.len(), "{} of {}", h.len(), full.len());
+        assert_eq!(
+            format!("{:?}", h.records),
+            format!("{:?}", &full.records[..h.len()]),
+            "the stopped run's records are not the head of the full run's"
+        );
+        let counters = tel.registry().snapshot().counters;
+        let started = counters["eval_scratch_hits_total"] + counters["eval_scratch_misses_total"];
+        assert!(started <= cfg.n_threads as u64 + 1, "{started} trainings started");
+        // Every dispatched evaluation was either started or abandoned, and
+        // at most the one in progress at the stop was cancelled.
+        let batch = cfg.workers as u64;
+        assert_eq!(counters["search_evals_submitted_total"], batch);
+        assert_eq!(started + counters["search_trainings_abandoned_total"], batch);
+        assert!(counters["search_trainings_cancelled_total"] <= 1);
+    }
+
+    #[test]
+    fn history_and_events_do_not_depend_on_compute_threads() {
+        use crate::config::RetryPolicy;
+        use agebo_scheduler::FaultPlan;
+        use agebo_telemetry::mask_wall_clock;
+        let shared = ctx();
+        for chaos in [false, true] {
+            let mut base = SearchConfig::test(Variant::agebo()).with_seed(17).with_wall_time(3000.0);
+            if chaos {
+                base = base.with_chaos(FaultPlan::heavy()).with_retry(RetryPolicy::hardened());
+                base.failure_rate = 0.2;
+            }
+            let mut reference: Option<(String, String)> = None;
+            for pipeline_ask in [true, false] {
+                for n_threads in [1, 2, 4] {
+                    let mut cfg = base.clone().with_pipeline_ask(pipeline_ask);
+                    cfg.n_threads = n_threads;
+                    let tel = Telemetry::in_memory();
+                    let h = run_search_instrumented(Arc::clone(&shared), &cfg, &tel);
+                    assert!(!h.is_empty());
+                    let run = (h.to_json_string(), mask_wall_clock(&tel.events_jsonl().unwrap()));
+                    let reference = reference.get_or_insert_with(|| run.clone());
+                    assert!(
+                        run == *reference,
+                        "chaos {chaos}, pipeline_ask {pipeline_ask}, n_threads {n_threads} diverged"
+                    );
+                }
+            }
         }
     }
 

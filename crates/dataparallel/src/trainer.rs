@@ -47,7 +47,8 @@ pub struct TrainerTelemetry {
     /// Counter `dp_epochs_total`.
     pub epochs: Arc<Counter>,
     /// Counter `dp_aborts_total`: trainings that exited early because
-    /// their evaluation was cancelled (outage / deadline kill).
+    /// their cancel flag was up — the cluster killed the evaluation
+    /// (outage / deadline), or the search ended while it was training.
     pub aborts: Arc<Counter>,
     /// Counter `dp_shard_bytes_saved_total`: bytes the zero-copy shard
     /// views did *not* copy (the seed path deep-copied every training row

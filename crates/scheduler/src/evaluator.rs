@@ -1,7 +1,7 @@
 //! The evaluator: real computation on worker threads, delivery in
 //! simulated-time order.
 
-use crate::des::{EvalFate, Placement, SimQueue, SubmitOpts};
+use crate::des::{EvalFate, Placement, SimQueue, SimTime, SubmitOpts};
 use crate::fault::FaultPlan;
 use agebo_telemetry::Telemetry;
 use crossbeam::channel::{unbounded, Receiver, Sender};
@@ -17,10 +17,10 @@ pub type ResultReceiver<R> = Receiver<(u64, Result<R, String>)>;
 pub fn result_channel<R>() -> (ResultSender<R>, ResultReceiver<R>) {
     unbounded()
 }
-use std::collections::HashMap;
+use std::collections::{BinaryHeap, HashMap};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 
 /// How an evaluation ended, as seen by the manager.
@@ -103,16 +103,144 @@ fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
 /// on a caller-supplied channel, so the evaluator neither owns threads
 /// nor decides which session's work runs next.
 enum ComputeBackend<T> {
-    /// A private worker pool owned (and joined on drop) by the evaluator.
+    /// A private worker pool owned by the evaluator: fed in delivery
+    /// order through a [`DueQueue`], stopped and joined by
+    /// [`Evaluator::close`].
     Owned {
-        task_tx: Sender<(u64, T, Arc<AtomicBool>)>,
+        queue: Arc<DueQueue<T>>,
         threads: Vec<JoinHandle<()>>,
     },
     /// Dispatch into an external pool; whoever owns the pool must
-    /// eventually send exactly one `(id, result)` per submitted id.
+    /// eventually send exactly one `(id, result)` per submitted id, and
+    /// cancels what it still holds when the search ends.
     External {
         submit: Box<dyn FnMut(u64, T, Arc<AtomicBool>) + Send>,
     },
+}
+
+/// A dispatched evaluation no compute thread has started yet.
+struct DueTask<T> {
+    /// `(placement.finish, id)`: the key [`SimQueue`] pops completions
+    /// by, so the smallest is the evaluation the manager blocks on next.
+    due: (SimTime, u64),
+    task: T,
+    cancel: Arc<AtomicBool>,
+}
+
+impl<T> PartialEq for DueTask<T> {
+    fn eq(&self, other: &Self) -> bool {
+        self.due == other.due
+    }
+}
+
+impl<T> Eq for DueTask<T> {}
+
+impl<T> PartialOrd for DueTask<T> {
+    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
+        Some(self.cmp(other))
+    }
+}
+
+impl<T> Ord for DueTask<T> {
+    /// Reversed: `BinaryHeap` is a max-heap and the earliest due goes
+    /// first.
+    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
+        other.due.cmp(&self.due)
+    }
+}
+
+/// The owned pool's task queue: compute threads take the earliest-due
+/// task, so real compute runs in the order results are handed out, and
+/// what the run will never collect sinks to the back — where
+/// [`DueQueue::close`] discards it.
+struct DueQueue<T> {
+    state: Mutex<DueState<T>>,
+    /// Signalled on every push and on close.
+    wake: Condvar,
+}
+
+struct DueState<T> {
+    queued: BinaryHeap<DueTask<T>>,
+    /// `(id, cancel flag)` of the tasks compute threads are running now.
+    running: Vec<(u64, Arc<AtomicBool>)>,
+    closed: bool,
+}
+
+impl<T> DueQueue<T> {
+    fn new() -> Self {
+        DueQueue {
+            state: Mutex::new(DueState {
+                queued: BinaryHeap::new(),
+                running: Vec::new(),
+                closed: false,
+            }),
+            wake: Condvar::new(),
+        }
+    }
+
+    /// Every update under the lock is one push, pop or flag store, so the
+    /// state stays valid even if a holder panicked.
+    fn lock(&self) -> MutexGuard<'_, DueState<T>> {
+        self.state.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    fn push(&self, task: DueTask<T>) {
+        let mut state = self.lock();
+        assert!(!state.closed, "evaluation submitted after close");
+        state.queued.push(task);
+        drop(state);
+        self.wake.notify_one();
+    }
+
+    /// Blocks for the earliest-due task and marks it running; `None` once
+    /// the queue is closed.
+    fn pop(&self) -> Option<DueTask<T>> {
+        let mut state = self.lock();
+        loop {
+            if state.closed {
+                return None;
+            }
+            if let Some(next) = state.queued.pop() {
+                state.running.push((next.due.1, Arc::clone(&next.cancel)));
+                return Some(next);
+            }
+            state = self.wake.wait(state).unwrap_or_else(PoisonError::into_inner);
+        }
+    }
+
+    /// The compute thread running `id` is done with it.
+    fn finished(&self, id: u64) {
+        self.lock().running.retain(|(running, _)| *running != id);
+    }
+
+    /// Discards every unstarted task, flags every running one and wakes
+    /// the idle threads so they exit.
+    fn close(&self) -> Closed {
+        let mut state = self.lock();
+        state.closed = true;
+        let abandoned = state.queued.len();
+        state.queued.clear();
+        // A doomed task's flag is already up: the cluster cancelled it,
+        // not the stop.
+        let cancelled = state
+            .running
+            .iter()
+            .filter(|(_, cancel)| !cancel.swap(true, Ordering::Relaxed))
+            .count();
+        drop(state);
+        self.wake.notify_all();
+        Closed { abandoned, cancelled }
+    }
+}
+
+/// What [`Evaluator::close`] cut short.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Closed {
+    /// Dispatched evaluations discarded before a compute thread started
+    /// them.
+    pub abandoned: usize,
+    /// Evaluations that were computing and had their cancel flag flipped.
+    pub cancelled: usize,
 }
 
 /// Manager-side handle implementing the paper's two scheduling interfaces.
@@ -121,7 +249,8 @@ enum ComputeBackend<T> {
 /// back. The worker function runs on a pool of OS threads; the *order* in
 /// which results are handed back to the manager is governed purely by the
 /// simulated durations, so runs are reproducible regardless of thread
-/// scheduling.
+/// scheduling. The owned pool computes in that same order: it always
+/// starts next the evaluation the manager will block on next.
 pub struct Evaluator<T: Send + 'static, R: Send + 'static> {
     sim: SimQueue,
     backend: ComputeBackend<T>,
@@ -158,21 +287,22 @@ impl<T: Send + 'static, R: Send + 'static> Evaluator<T, R> {
         F: Fn(&T, &AtomicBool) -> R + Send + Sync + 'static,
     {
         assert!(n_threads > 0);
-        let (task_tx, task_rx) = unbounded::<(u64, T, Arc<AtomicBool>)>();
+        let queue = Arc::new(DueQueue::new());
         let (result_tx, result_rx) = unbounded::<(u64, Result<R, String>)>();
         let worker_fn = Arc::new(worker_fn);
         let threads = (0..n_threads)
             .map(|_| {
-                let rx = task_rx.clone();
+                let queue = Arc::clone(&queue);
                 let tx = result_tx.clone();
                 let f = worker_fn.clone();
                 std::thread::spawn(move || {
-                    while let Ok((id, task, cancel)) = rx.recv() {
+                    while let Some(DueTask { due: (_, id), task, cancel }) = queue.pop() {
                         // A panicking worker_fn must become a delivered
                         // outcome, not a dead pool thread that leaves the
                         // manager waiting forever.
                         let result = catch_unwind(AssertUnwindSafe(|| f(&task, &cancel)))
                             .map_err(|payload| panic_message(payload.as_ref()));
+                        queue.finished(id);
                         if tx.send((id, result)).is_err() {
                             break; // manager dropped
                         }
@@ -182,7 +312,7 @@ impl<T: Send + 'static, R: Send + 'static> Evaluator<T, R> {
             .collect();
         Evaluator {
             sim: SimQueue::new(n_workers),
-            backend: ComputeBackend::Owned { task_tx, threads },
+            backend: ComputeBackend::Owned { queue, threads },
             result_rx,
             ready: HashMap::new(),
             durations: HashMap::new(),
@@ -257,8 +387,8 @@ impl<T: Send + 'static, R: Send + 'static> Evaluator<T, R> {
             cancel.store(true, Ordering::Relaxed);
         }
         match &mut self.backend {
-            ComputeBackend::Owned { task_tx, .. } => {
-                task_tx.send((id, task, cancel)).expect("worker pool alive");
+            ComputeBackend::Owned { queue, .. } => {
+                queue.push(DueTask { due: (SimTime(placement.finish), id), task, cancel });
             }
             ComputeBackend::External { submit } => submit(id, task, cancel),
         }
@@ -325,6 +455,28 @@ impl<T: Send + 'static, R: Send + 'static> Evaluator<T, R> {
         }
     }
 
+    /// Ends the owned pool's work, for when the search will collect
+    /// nothing more: every unstarted task is discarded, every running
+    /// one has its cancel flag flipped (a cancellation-aware worker
+    /// returns at its next safe point) and the compute threads are
+    /// joined. Idempotent — `Drop` calls it too, and a second call
+    /// reports zeros. The simulated cluster is untouched, so the clock
+    /// and utilization stay readable; submitting or collecting after
+    /// `close` panics.
+    ///
+    /// An external backend is left alone: its pool outlives this
+    /// evaluator, and its owner cancels what it still holds.
+    pub fn close(&mut self) -> Closed {
+        let ComputeBackend::Owned { queue, threads } = &mut self.backend else {
+            return Closed::default();
+        };
+        let closed = queue.close();
+        for t in threads.drain(..) {
+            let _ = t.join();
+        }
+        closed
+    }
+
     /// Current simulated time in seconds.
     pub fn now(&self) -> f64 {
         self.sim.now()
@@ -348,16 +500,7 @@ impl<T: Send + 'static, R: Send + 'static> Evaluator<T, R> {
 
 impl<T: Send + 'static, R: Send + 'static> Drop for Evaluator<T, R> {
     fn drop(&mut self) {
-        if let ComputeBackend::Owned { task_tx, threads } = &mut self.backend {
-            // Closing the task channel lets worker threads drain and exit.
-            let (dead_tx, _) = unbounded();
-            drop(std::mem::replace(task_tx, dead_tx));
-            for t in threads.drain(..) {
-                let _ = t.join();
-            }
-        }
-        // External backends: the shared pool outlives this evaluator and
-        // is joined by its own owner (the session manager).
+        self.close();
     }
 }
 
@@ -550,6 +693,101 @@ mod tests {
         }
         assert_eq!(fates, vec![false, true]);
         assert_eq!(cancelled_seen.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn compute_runs_in_due_order_whatever_the_submission_order() {
+        use std::sync::Mutex;
+        const GATE: u64 = u64::MAX;
+        // Simulated durations by payload; 8 idle slots, so finish ==
+        // duration. Payloads 1 and 3 tie and must run in id order.
+        let durations = [9.0, 3.0, 7.0, 3.0, 1.0, 8.0];
+        let executed = Arc::new(Mutex::new(Vec::new()));
+        let (started_tx, started_rx) = unbounded::<()>();
+        let (release_tx, release_rx) = unbounded::<()>();
+        let log = Arc::clone(&executed);
+        let mut ev: Evaluator<u64, u64> = Evaluator::new(8, 1, move |&x| {
+            if x == GATE {
+                // Hold the only compute thread until the queue is full.
+                started_tx.send(()).unwrap();
+                release_rx.recv().unwrap();
+            } else {
+                log.lock().unwrap().push(x);
+            }
+            x
+        });
+        ev.submit_evaluation(GATE, 100.0);
+        started_rx.recv().unwrap();
+        for (x, &d) in durations.iter().enumerate() {
+            ev.submit_evaluation(x as u64, d);
+        }
+        release_tx.send(()).unwrap();
+        while !ev.get_finished_evaluations().is_empty() {}
+        assert_eq!(*executed.lock().unwrap(), vec![4, 1, 3, 2, 5, 0]);
+    }
+
+    /// An evaluator whose worker counts itself in on `started`, then
+    /// blocks until its cancel flag flips.
+    fn blocking_evaluator(
+        workers: usize,
+        threads: usize,
+        started: &Arc<std::sync::atomic::AtomicUsize>,
+    ) -> Evaluator<u64, u64> {
+        let started = Arc::clone(started);
+        Evaluator::new_cancellable(workers, threads, move |&x, cancel| {
+            started.fetch_add(1, Ordering::SeqCst);
+            while !cancel.load(Ordering::Relaxed) {
+                std::thread::yield_now();
+            }
+            x
+        })
+    }
+
+    #[test]
+    fn close_abandons_the_queue_and_cancels_what_runs() {
+        let started = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut ev = blocking_evaluator(10, 2, &started);
+        for x in 0..10 {
+            ev.submit_evaluation(x, 5.0 + x as f64);
+        }
+        while started.load(Ordering::SeqCst) < 2 {
+            std::thread::yield_now();
+        }
+        assert_eq!(ev.close(), Closed { abandoned: 8, cancelled: 2 });
+        assert_eq!(started.load(Ordering::SeqCst), 2, "an abandoned task was started");
+        assert_eq!(ev.close(), Closed::default(), "close is idempotent");
+        // The simulated cluster is still readable.
+        assert_eq!(ev.n_outstanding(), 10);
+        assert_eq!(ev.now(), 0.0);
+    }
+
+    #[test]
+    fn dropping_an_evaluator_does_not_train_its_queue() {
+        let started = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut ev = blocking_evaluator(10, 2, &started);
+        for x in 0..10 {
+            ev.submit_evaluation(x, 5.0 + x as f64);
+        }
+        // Returns only because drop flips the running tasks' flags.
+        drop(ev);
+        assert!(started.load(Ordering::SeqCst) <= 2, "drop started queued tasks");
+    }
+
+    #[test]
+    fn doomed_task_returns_at_once() {
+        // Doomed at submission: the flag is up before the worker looks,
+        // so the blocking worker falls straight through.
+        let started = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let mut ev = blocking_evaluator(1, 1, &started);
+        ev.submit_evaluation_opts(
+            1,
+            100.0,
+            SubmitOpts { deadline: Some(25.0), not_before: None },
+        );
+        let got = ev.get_finished_evaluations();
+        assert_eq!(got[0].outcome, EvalOutcome::TimedOut);
+        // Nothing was left for the stop to cut short.
+        assert_eq!(ev.close(), Closed::default());
     }
 
     #[test]

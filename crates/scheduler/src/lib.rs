@@ -6,8 +6,9 @@
 //! `mpirun` over 128 worker nodes; here they are backed by
 //! [`Evaluator`], which combines
 //!
-//! * a **real worker pool** (OS threads fed through crossbeam channels)
-//!   that executes the actual scaled-down trainings, and
+//! * a **real worker pool** (OS threads fed from one due-ordered queue,
+//!   so compute runs in delivery order and a finished search abandons
+//!   what is left) that executes the actual scaled-down trainings, and
 //! * a **discrete-event simulated clock**: every submission carries the
 //!   duration the evaluation *would* take at paper scale (from
 //!   `agebo-dataparallel`'s cost model); completions are delivered in
@@ -25,7 +26,7 @@ pub mod pool;
 
 pub use des::{EvalFate, Placement, SimQueue, SubmitOpts};
 pub use evaluator::{
-    result_channel, EvalOutcome, Evaluator, Finished, ResultReceiver, ResultSender,
+    result_channel, Closed, EvalOutcome, Evaluator, Finished, ResultReceiver, ResultSender,
 };
 pub use fault::FaultPlan;
 pub use pool::{ScratchGuard, ScratchPool};

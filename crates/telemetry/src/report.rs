@@ -6,8 +6,9 @@ use crate::metrics::MetricsSnapshot;
 use std::collections::{HashMap, HashSet};
 
 /// Everything the `report` subcommand prints, computed from the event
-/// log alone — except the resume-ask counters, which are metrics-only
-/// and stay zero until [`RunSummary::with_metrics`] supplies a snapshot.
+/// log alone — except the resume-ask and stop counters, which are
+/// metrics-only and stay zero until [`RunSummary::with_metrics`] supplies
+/// a snapshot.
 #[derive(Debug, Clone, PartialEq)]
 pub struct RunSummary {
     /// Variant label from the manifest (empty when absent).
@@ -76,6 +77,12 @@ pub struct RunSummary {
     /// had no record (`resume_asks_recomputed_total`) — many of these is
     /// why a resume was slow.
     pub resume_asks_recomputed: u64,
+    /// Dispatched evaluations the compute pool discarded unstarted when
+    /// the search ended (`search_trainings_abandoned_total`).
+    pub trainings_abandoned: u64,
+    /// Evaluations the compute pool was training when the search ended,
+    /// flagged to abort (`search_trainings_cancelled_total`).
+    pub trainings_cancelled: u64,
 }
 
 impl RunSummary {
@@ -114,6 +121,8 @@ impl RunSummary {
             resume_discarded_bytes: 0,
             resume_asks_fast_forwarded: 0,
             resume_asks_recomputed: 0,
+            trainings_abandoned: 0,
+            trainings_cancelled: 0,
         };
         let mut ckpt_segments: HashSet<u64> = HashSet::new();
         let mut submitted_at: HashMap<u64, f64> = HashMap::new();
@@ -231,6 +240,8 @@ impl RunSummary {
         let counter = |name: &str| metrics.counters.get(name).copied().unwrap_or(0);
         self.resume_asks_fast_forwarded = counter("resume_asks_fast_forwarded_total");
         self.resume_asks_recomputed = counter("resume_asks_recomputed_total");
+        self.trainings_abandoned = counter("search_trainings_abandoned_total");
+        self.trainings_cancelled = counter("search_trainings_cancelled_total");
         self
     }
 
@@ -276,15 +287,19 @@ impl RunSummary {
                 self.n_worker_down, self.n_crashes, self.n_timeouts, self.n_retries, self.n_quarantined
             ),
         );
-        push(
-            &mut out,
-            format!(
-                "cluster:      utilization {:.1}% over {:.0}s makespan, mean queue wait {:.1}s",
-                self.utilization * 100.0,
-                self.makespan,
-                self.mean_queue_wait
-            ),
+        let mut cluster = format!(
+            "cluster:      utilization {:.1}% over {:.0}s makespan, mean queue wait {:.1}s",
+            self.utilization * 100.0,
+            self.makespan,
+            self.mean_queue_wait
         );
+        if self.trainings_abandoned + self.trainings_cancelled > 0 {
+            cluster.push_str(&format!(
+                ", {} abandoned / {} cancelled at stop",
+                self.trainings_abandoned, self.trainings_cancelled
+            ));
+        }
+        push(&mut out, cluster);
         if !self.latency_quantiles.is_empty() {
             let q: Vec<String> = self
                 .latency_quantiles
@@ -396,6 +411,19 @@ mod tests {
         let text = s.render();
         assert!(text.contains("AgEBO"));
         assert!(text.contains("utilization 60.0%"));
+        // The stop counters live in the metrics snapshot only, and the
+        // line is unchanged while both are zero.
+        let cluster = "cluster:      utilization 60.0% over 250s makespan, mean queue wait 0.0s";
+        assert!(text.contains(&format!("{cluster}\n")), "{text}");
+        let mut metrics = MetricsSnapshot::default();
+        assert_eq!(s.clone().with_metrics(&metrics).render(), text);
+        metrics.counters.insert("search_trainings_abandoned_total".into(), 9);
+        metrics.counters.insert("search_trainings_cancelled_total".into(), 2);
+        let text = s.with_metrics(&metrics).render();
+        assert!(
+            text.contains(&format!("{cluster}, 9 abandoned / 2 cancelled at stop\n")),
+            "{text}"
+        );
     }
 
     #[test]
